@@ -348,6 +348,8 @@ class JobSpec:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.max_dim < 1:
             raise ValueError("max-dim must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -389,22 +391,24 @@ def _cell_key(model_sha: str, mode: Mode, n: int, k: int,
 
 
 def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
+    """The cached cell, or None when the entry is missing or unreadable."""
     if cache_dir is None:
         return None
     path = os.path.join(cache_dir, key + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return value if isinstance(value, dict) else None
 
 
 def _cache_write(cache_dir: Optional[str], key: str, value: dict) -> None:
+    """Write (or repair) one entry atomically."""
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
-        return  # write-once
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(value, fh, sort_keys=True)
@@ -594,18 +598,22 @@ def run(job: JobSpec) -> tuple[dict, int]:
         for n in job.n_values:
             key = _cell_key(model_sha, job.mode, n, k, job.decompose)
             cached = _cache_read(job.cache_dir, key)
-            if cached is not None:
+            # an entry that holds another cell is a miss and gets rewritten
+            echo = None if cached is None else (
+                cached.get("mode"), cached.get("n"), cached.get("k"))
+            if echo == (job.mode.value, n, k):
                 cells.append(cached)
             else:
                 pending.append((n, k, key))
 
     try:
         if pending:
-            if job.workers > 1:
+            pool_size = min(job.workers, len(pending), os.cpu_count() or 1)
+            if pool_size > 1:
                 text = raw.decode("utf-8")
                 args = [(text, job.mode.value, n, k, job.decompose)
                         for n, k, _ in pending]
-                with ProcessPoolExecutor(max_workers=job.workers) as pool:
+                with ProcessPoolExecutor(max_workers=pool_size) as pool:
                     results = list(pool.map(_cell_worker, args))
             else:
                 results = [_compute_cell(model, job.mode, n, k,

@@ -34,7 +34,7 @@ from .gradedlie import (
     lyndon_basis,
     omega,
 )
-from .ratlinalg import SparseMatrix, SubspaceBasis, Vector
+from .ratlinalg import SparseMatrix, SubspaceBasis, Vector, add_scaled
 
 
 class ClosureViolation(Exception):
@@ -165,25 +165,17 @@ class DerSlice:
         return Derivation(self.genset, self.k, values)
 
     def pointed_to_local(self, vec: Mapping[int, Fraction]
-                         ) -> Optional[tuple[Fraction, ...]]:
+                         ) -> Optional[Vector]:
         if self.basis is None:
-            return tuple(Fraction(vec.get(i, 0))
-                         for i in range(len(self.coords)))
+            return dict(vec)
         return ratlinalg.coordinates_in_span(self.basis, vec)
 
     def local_to_pointed(self, local: Mapping[int, Fraction]) -> Vector:
         if self.basis is None:
-            return {i: Fraction(c) for i, c in local.items() if c != 0}
+            return dict(local)
         out: Vector = {}
         for i, c in local.items():
-            if c == 0:
-                continue
-            for pos, x in self.basis.vectors[i].items():
-                nv = out.get(pos, Fraction(0)) + c * x
-                if nv:
-                    out[pos] = nv
-                else:
-                    out.pop(pos, None)
+            add_scaled(out, c, self.basis.vectors[i])
         return out
 
     def basis_derivation(self, i: int) -> Derivation:
@@ -276,16 +268,12 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
             acc: dict = {}
             val = theta.values.get(gid)
             if val is not None:
-                img = apply_values_tensor(genset, -1, genset._diff_tensor,
+                acc = apply_values_tensor(genset, -1, genset._diff_tensor,
                                           genset.to_tensor(val))
-                for w2, c in img.items():
-                    acc[w2] = acc.get(w2, Fraction(0)) + c
             dvec = genset._diff_tensor.get(gid)
             if dvec:
-                img = apply_values_tensor(genset, k, theta_tensor, dvec)
-                for w2, c in img.items():
-                    acc[w2] = acc.get(w2, Fraction(0)) - sign * c
-            acc = {w2: c for w2, c in acc.items() if c != 0}
+                add_scaled(acc, -sign,
+                           apply_values_tensor(genset, k, theta_tensor, dvec))
             if not acc:
                 continue
             value = genset.from_tensor(genset.degrees[gid] + k - 1, acc)
@@ -296,7 +284,7 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
             raise ClosureViolation(
                 f"differential image left the boundary slice at "
                 f"(n={n}, k={k})")
-        columns.append({j: c for j, c in enumerate(local) if c != 0})
+        columns.append(local)
     matrix = SparseMatrix.from_columns(columns, tgt.dim)
     _MATRIX_CACHE[key] = matrix
     return matrix
@@ -315,7 +303,7 @@ class HomologySlice:
     _slice: DerSlice
     _delta: SparseMatrix
 
-    def reduce(self, local_vec: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+    def reduce(self, local_vec: Mapping[int, Fraction]) -> Vector:
         """Class coordinates of a cycle given in slice coordinates."""
         return self._quotient.reduce(local_vec)
 

@@ -111,7 +111,7 @@ def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
         if local is None:
             raise ClosureViolation(
                 "extension by zero left the boundary subcomplex")
-        columns.append({j: c for j, c in enumerate(local) if c != 0})
+        columns.append(local)
     return InducedMap(inj, model, k, mode, "slice",
                       SparseMatrix.from_columns(columns, tgt.dim))
 
@@ -132,13 +132,11 @@ def homology_map(inj: Injection, model: ModelSpec, k: int,
         if local is None:
             raise ClosureViolation(
                 "extension by zero left the boundary subcomplex")
-        local_vec = {j: c for j, c in enumerate(local) if c != 0}
-        if not tgt_h.is_cycle(local_vec):
+        if not tgt_h.is_cycle(local):
             raise NotAChainMap(
                 f"image of a representative is not a cycle at "
                 f"(n={inj.source}->{inj.target}, k={k})")
-        reduced = tgt_h.reduce(local_vec)
-        columns.append({j: c for j, c in enumerate(reduced) if c != 0})
+        columns.append(tgt_h.reduce(local))
     return InducedMap(inj, model, k, mode, "homology",
                       SparseMatrix.from_columns(columns, tgt_h.dimension))
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .ratlinalg import SpanSolver
+from .ratlinalg import SparseMatrix, SpanSolver, add_scaled, inverse
 
 Word = tuple[int, ...]
 TensorVector = dict[Word, Fraction]
@@ -181,13 +181,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         if self.degree != other.degree and self.coeffs and other.coeffs:
             raise ValueError("cannot add elements of different degrees")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, Fraction(0)) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        out = add_scaled(dict(self.coeffs), 1, other.coeffs)
         return LieElement(self.degree if self.coeffs else other.degree, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -372,16 +366,10 @@ class GeneratorSet:
     def to_tensor(self, e: LieElement) -> TensorVector:
         out: TensorVector = {}
         for elem, c in e.coeffs.items():
-            for w, x in self.expansion(elem).items():
-                nv = out.get(w, Fraction(0)) + c * x
-                if nv:
-                    out[w] = nv
-                else:
-                    out.pop(w, None)
+            add_scaled(out, c, self.expansion(elem))
         return out
 
     def from_tensor(self, degree: int, vec: TensorVector) -> LieElement:
-        vec = {w: c for w, c in vec.items() if c != 0}
         if not vec:
             return LieElement(degree)
         sl = self.slice(degree)
@@ -430,14 +418,7 @@ def tensor_commutator(u: TensorVector, v: TensorVector,
                       deg_u: int, deg_v: int) -> TensorVector:
     """[u,v] = uv - (-1)^{|u||v|} vu in the tensor algebra."""
     sign = -1 if (deg_u * deg_v) % 2 else 1
-    out = tensor_concat(u, v)
-    for w, c in tensor_concat(v, u).items():
-        nv = out.get(w, Fraction(0)) - sign * c
-        if nv:
-            out[w] = nv
-        else:
-            out.pop(w, None)
-    return out
+    return add_scaled(tensor_concat(u, v), -sign, tensor_concat(v, u))
 
 
 def apply_values_tensor(genset: GeneratorSet, op_degree: int,
@@ -489,12 +470,7 @@ def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
             degree = d
         elif d != degree and vec:
             raise ValueError("inhomogeneous differential expression")
-        for w, c in vec.items():
-            nv = total.get(w, Fraction(0)) + coeff * c
-            if nv:
-                total[w] = nv
-            else:
-                total.pop(w, None)
+        add_scaled(total, coeff, vec)
     return total, (degree if degree is not None else 0)
 
 
@@ -538,23 +514,12 @@ def apply_differential(genset: GeneratorSet, e: LieElement) -> LieElement:
     return genset.from_tensor(e.degree - 1, vec)
 
 
-def _invert_dense(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+def _pairing_inverse(model: ModelSpec) -> Optional[SparseMatrix]:
+    mat = model.pairing_matrix()
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                         for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularPairing("pairing matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return inverse(SparseMatrix(n, n, {(i, j): v
+                                       for i, row in enumerate(mat)
+                                       for j, v in enumerate(row)}))
 
 
 def dual_basis(model: ModelSpec) -> dict[str, LieElement]:
@@ -565,19 +530,19 @@ def dual_basis(model: ModelSpec) -> dict[str, LieElement]:
     """
     if not model.has_pairing:
         raise SingularPairing("model carries no pairing")
-    inv = _invert_dense(model.pairing_matrix())
+    inv = _pairing_inverse(model)
+    if inv is None:
+        raise SingularPairing("pairing matrix is singular")
     genset = free_product_generators(model, 1)
     d = model.ambient_dim
     out = {}
     for j, (sym, deg) in enumerate(model.generators):
         coeffs: dict[LieBasisElement, Fraction] = {}
-        for k in range(len(model.generators)):
-            c = inv[k][j]
-            if c != 0:
-                if genset.degrees[k] != d - 2 - deg:
-                    raise SingularPairing(
-                        "pairing entries violate the degree constraint")
-                coeffs[LieBasisElement(False, (k,))] = c
+        for k, c in inv.column(j).items():
+            if genset.degrees[k] != d - 2 - deg:
+                raise SingularPairing(
+                    "pairing entries violate the degree constraint")
+            coeffs[LieBasisElement(False, (k,))] = c
         out[sym] = LieElement(d - 2 - deg, coeffs)
     return out
 
@@ -640,12 +605,7 @@ def omega(model: ModelSpec, n: int) -> LieElement:
                                       base.to_tensor(duals[sym]))
             gen_vec = {(genset.gen_id(i, j),): Fraction(1)}
             term = tensor_commutator(dual_vec, gen_vec, d - 2 - deg, deg)
-            for w, c in term.items():
-                nv = total.get(w, Fraction(0)) + c / 2
-                if nv:
-                    total[w] = nv
-                else:
-                    total.pop(w, None)
+            add_scaled(total, Fraction(1, 2), term)
     elem = genset.from_tensor(d - 2, total)
     if elem.is_zero():
         raise SingularPairing("intersection element vanished")
@@ -926,14 +886,10 @@ def validate_model(model: ModelSpec) -> list[str]:
                         f"pairing <{a},{b}> violates |a|+|b| = d-2")
             if not problems:
                 try:
-                    mat = model.pairing_matrix()
+                    if _pairing_inverse(model) is None:
+                        problems.append("pairing matrix is degenerate")
                 except ValueError as exc:
                     problems.append(str(exc))
-                else:
-                    try:
-                        _invert_dense(mat)
-                    except SingularPairing:
-                        problems.append("pairing matrix is degenerate")
     elif model.ambient_dim is not None and model.ambient_dim < 3:
         problems.append(
             f"ambient_dim must be at least 3, got {model.ambient_dim}")

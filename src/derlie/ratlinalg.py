@@ -5,6 +5,12 @@ given row space, so all bases, coordinates and quotients are canonical and
 bit-identical across runs.  Elimination works fraction-free on
 arbitrary-precision integer rows (cross-multiplication with content
 stripping); fractions only appear in the final normalization step.
+
+One sparse convention holds for every vector that crosses a function
+boundary here and in the layers above: a ``Vector`` (or a tensor vector) is
+a dict from coordinate keys to nonzero Fractions; a missing key means zero
+and no zero is ever stored.  ``add_scaled`` is the one accumulation step
+that keeps it.
 """
 
 from __future__ import annotations
@@ -15,6 +21,17 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 Scalar = Fraction
 Vector = dict[int, Fraction]  # sparse: missing key means zero
+
+
+def add_scaled(acc: dict, c, vec: Mapping) -> dict:
+    """acc += c * vec in place, removing keys that cancel to zero."""
+    for k, x in vec.items():
+        nv = acc.get(k, 0) + c * x
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class ContainmentViolation(Exception):
@@ -159,16 +176,9 @@ class SparseMatrix:
         """Matrix-vector product for a sparse coordinate vector."""
         out: Vector = {}
         for c, x in v.items():
-            if x == 0:
-                continue
             if not (0 <= c < self.cols):
                 raise IndexError(f"coordinate {c} out of bounds")
-            for r, a in self._column_cache()[c].items():
-                nv = out.get(r, Fraction(0)) + a * x
-                if nv:
-                    out[r] = nv
-                else:
-                    out.pop(r, None)
+            add_scaled(out, x, self._column_cache()[c])
         return out
 
     def _column_cache(self) -> list[dict[int, Fraction]]:
@@ -257,9 +267,23 @@ def image_basis(m: SparseMatrix) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(columns, m.rows)
 
 
+def inverse(m: SparseMatrix) -> Optional[SparseMatrix]:
+    """Inverse of a square matrix, read off the reduced echelon form of
+    [m | I]; None when m is singular."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    rows, pivots = _reduced_echelon(
+        {**row, n + i: Fraction(1)} for i, row in enumerate(m._rows))
+    if pivots != list(range(n)):
+        return None
+    return SparseMatrix.from_rows(
+        [{c - n: v for c, v in row.items() if c >= n} for row in rows], n)
+
+
 def coordinates_in_span(
     b: SubspaceBasis, v: Mapping[int, Fraction]
-) -> Optional[tuple[Fraction, ...]]:
+) -> Optional[Vector]:
     """Exact coordinates of v in the basis b, or None if v is not in span(b).
 
     Coordinates are read off the pivot columns (valid because b is reduced
@@ -268,17 +292,13 @@ def coordinates_in_span(
     for c in v:
         if not (0 <= c < b.ambient_dim):
             raise ValueError(f"coordinate {c} outside ambient dimension")
-    coords = tuple(Fraction(v.get(p, 0)) for p in b.pivots)
-    residual = {c: Fraction(x) for c, x in v.items() if x != 0}
-    for coeff, row in zip(coords, b.vectors):
-        if coeff == 0:
-            continue
-        for c, x in row.items():
-            nv = residual.get(c, Fraction(0)) - coeff * x
-            if nv:
-                residual[c] = nv
-            else:
-                residual.pop(c, None)
+    coords: Vector = {}
+    residual = dict(v)
+    for i, (p, row) in enumerate(zip(b.pivots, b.vectors)):
+        coeff = residual.get(p)
+        if coeff:
+            coords[i] = coeff
+            add_scaled(residual, -coeff, row)
     if residual:
         return None
     return coords
@@ -298,22 +318,15 @@ class Quotient:
     def dim(self) -> int:
         return len(self._free)
 
-    def reduce(self, v: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+    def reduce(self, v: Mapping[int, Fraction]) -> Vector:
         """Class coordinates of a cycle v; raises if v is not a cycle."""
-        coords = coordinates_in_span(self._cycles, v)
-        if coords is None:
+        c = coordinates_in_span(self._cycles, v)
+        if c is None:
             raise ValueError("vector is not in the cycle space")
-        c = {i: x for i, x in enumerate(coords) if x != 0}
         for p, row in zip(self._pivots, self._rows):
             if p in c:
-                coeff = c[p]
-                for q, x in row.items():
-                    nv = c.get(q, Fraction(0)) - coeff * x
-                    if nv:
-                        c[q] = nv
-                    else:
-                        c.pop(q, None)
-        return tuple(Fraction(c.get(f, 0)) for f in self._free)
+                add_scaled(c, -c[p], row)
+        return {j: c[f] for j, f in enumerate(self._free) if f in c}
 
 
 def quotient_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> Quotient:
@@ -326,7 +339,7 @@ def quotient_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> Quotient
         if coords is None:
             raise ContainmentViolation(
                 "boundary vector not contained in cycle space")
-        in_coords.append({i: x for i, x in enumerate(coords) if x != 0})
+        in_coords.append(coords)
     rows, pivots = _reduced_echelon(in_coords)
     pivot_set = set(pivots)
     free = [i for i in range(cycles.dim) if i not in pivot_set]
@@ -356,18 +369,8 @@ class SpanSolver:
                 break
             rvec, rcombo = row
             c = v[p] / rvec[p]
-            for k, x in rvec.items():
-                nv = v.get(k, Fraction(0)) - c * x
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-            for i, x in rcombo.items():
-                nv = combo.get(i, Fraction(0)) + c * x
-                if nv:
-                    combo[i] = nv
-                else:
-                    combo.pop(i, None)
+            add_scaled(v, -c, rvec)
+            add_scaled(combo, c, rcombo)
         return v, combo
 
     def add(self, vec: Mapping) -> bool:

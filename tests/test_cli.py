@@ -166,6 +166,43 @@ def test_cli_usage_error_k_zero(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_usage_error_workers_below_one(capsys, workers):
+    code = main(["compute", "--model", "sphere2", "--k", "1", "--n", "1",
+                 "--workers", workers])
+    assert code == EXIT_VALIDATION
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_worker_pool_capped_at_pending_cells_and_cores(monkeypatch):
+    from derlie import cli as climod
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(climod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(climod.os, "cpu_count", lambda: 64)
+    report, code = run(job(k_values=(1,), n_values=(1, 2),
+                           workers=10 ** 6))
+    assert code == EXIT_OK and len(report["cells"]) == 2
+    monkeypatch.setattr(climod.os, "cpu_count", lambda: 3)
+    report, code = run(job(k_values=(1,), n_values=(1, 2, 3, 4),
+                           workers=10 ** 6))
+    assert code == EXIT_OK and len(report["cells"]) == 4
+    assert sizes == [2, 3]
+
+
 def test_cli_models_listing(capsys):
     assert main(["models"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -215,6 +252,28 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path):
     assert any(cache.iterdir())
     assert main(args + ["--output", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "other-cell"])
+def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
+    cache = tmp_path / "cache"
+    cold = tmp_path / "cold.json"
+    rerun = tmp_path / "rerun.json"
+    args = ["compute", "--model", "sphere2", "--k", "1", "--n", "1..3",
+            "--decompose", "--format", "json", "--cache-dir", str(cache)]
+    assert main(args + ["--output", str(cold)]) == EXIT_OK
+    entries = sorted(cache.iterdir())
+    assert len(entries) == 3
+    victim, other = entries[0], entries[1]
+    if damage == "truncate":
+        victim.write_bytes(victim.read_bytes()[:10])
+    else:
+        victim.write_bytes(other.read_bytes())
+    assert main(args + ["--output", str(rerun)]) == EXIT_OK
+    assert rerun.read_bytes() == cold.read_bytes()
+    repaired = json.loads(victim.read_text(encoding="utf-8"))
+    assert repaired != json.loads(other.read_text(encoding="utf-8"))
+    assert sorted(cache.iterdir()) == entries
 
 
 def test_worker_count_does_not_change_output(tmp_path):
