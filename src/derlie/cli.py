@@ -439,6 +439,18 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
     return cell
 
 
+def _is_cell(entry: Optional[dict], mode: Mode, n: int, k: int,
+             decompose: bool) -> bool:
+    """Whether a cache entry holds exactly the fields _compute_cell writes
+    for this cell; anything else is a miss and gets rewritten."""
+    fields = {"mode", "n", "k", "dim"}
+    if decompose:
+        fields |= {"character", "decomposition", "padded"}
+    return (entry is not None and entry.keys() == fields
+            and (entry["mode"], entry["n"], entry["k"]) == (mode.value, n, k)
+            and type(entry["dim"]) is int and entry["dim"] >= 0)
+
+
 def _cell_worker(args) -> dict:
     model_text, mode_value, n, k, decompose = args
     model = parse_model_text(model_text)
@@ -488,7 +500,8 @@ def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
             "detail": f"{samples} sampled pairs at n={n}, k={k}"}
 
 
-def _run_checks(model: ModelSpec, job: JobSpec) -> tuple[list[dict], list[dict]]:
+def _run_checks(model: ModelSpec, job: JobSpec,
+                cells: list[dict]) -> tuple[list[dict], list[dict]]:
     checks: list[dict] = []
     stability: list[dict] = []
 
@@ -536,14 +549,16 @@ def _run_checks(model: ModelSpec, job: JobSpec) -> tuple[list[dict], list[dict]]
                        "flags": flags})
 
     if job.decompose:
+        ns = sorted(job.n_values)
         for k in job.k_values:
-            report = reptheory.stability_report(model, job.mode, k,
-                                                job.n_values,
-                                                with_generation=False)
+            rows = {c["n"]: {partition_from_str(s): m
+                             for s, m in c["padded"].items()}
+                    for c in cells if c["k"] == k}
+            onset = reptheory.stabilization_onset(ns, rows)
             stability.append({
                 "k": k,
-                "stabilized_at": report.stabilized_at,
-                "verdict": report.verdict_text(),
+                "stabilized_at": onset,
+                "verdict": reptheory.stability_verdict(onset, ns),
             })
 
     if job.mode is Mode.BOUNDARY:
@@ -598,10 +613,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
         for n in job.n_values:
             key = _cell_key(model_sha, job.mode, n, k, job.decompose)
             cached = _cache_read(job.cache_dir, key)
-            # an entry that holds another cell is a miss and gets rewritten
-            echo = None if cached is None else (
-                cached.get("mode"), cached.get("n"), cached.get("k"))
-            if echo == (job.mode.value, n, k):
+            if _is_cell(cached, job.mode, n, k, job.decompose):
                 cells.append(cached)
             else:
                 pending.append((n, k, key))
@@ -622,7 +634,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
             for (n, k, key), cell in zip(pending, results):
                 _cache_write(job.cache_dir, key, cell)
                 cells.append(cell)
-        checks, stability = _run_checks(model, job)
+        checks, stability = _run_checks(model, job, cells)
     except _CHECK_ERRORS as exc:
         report = _error_report(job, "check-failure",
                                f"{type(exc).__name__}: {exc}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional
 
 from . import ratlinalg
@@ -186,11 +187,6 @@ class DerSlice:
                 f"{self.mode}, dim={self.dim})")
 
 
-_SLICE_CACHE: dict = {}
-_MATRIX_CACHE: dict = {}
-_HOMOLOGY_CACHE: dict = {}
-
-
 def _require_boundary_data(model: ModelSpec, mode: Mode) -> None:
     if mode is Mode.BOUNDARY and (not model.has_pairing
                                   or model.ambient_dim is None):
@@ -198,6 +194,7 @@ def _require_boundary_data(model: ModelSpec, mode: Mode) -> None:
             "boundary mode requires a model with pairing and ambient_dim")
 
 
+@cache
 def derivation_basis(model: ModelSpec, n: int, k: int,
                      mode: Mode = Mode.POINTED) -> DerSlice:
     """The slice of degree-k derivations; k = 0 exists only as the
@@ -207,10 +204,6 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
     if k < 0:
         raise ValueError("homological degree must be at least 0")
     _require_boundary_data(model, mode)
-    key = (model.key, n, k, mode)
-    cached = _SLICE_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     genset = free_product_generators(model, n)
     coords: list[tuple[int, LieBasisElement]] = []
@@ -239,22 +232,16 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
         constraint = SparseMatrix.from_columns(columns, target_slice.dim)
         basis = ratlinalg.kernel_basis(constraint)
 
-    sl = DerSlice(model, n, k, mode, genset, coords, basis)
-    _SLICE_CACHE[key] = sl
-    return sl
+    return DerSlice(model, n, k, mode, genset, coords, basis)
 
 
+@cache
 def differential_matrix(model: ModelSpec, n: int, k: int,
                         mode: Mode = Mode.POINTED) -> SparseMatrix:
     """Matrix of theta -> d o theta - (-1)^k theta o d from the degree-k
     slice to the degree-(k-1) slice, in local slice coordinates."""
     if k < 1:
         raise ValueError("the differential starts at degree 1")
-    key = (model.key, n, k, mode)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     src = derivation_basis(model, n, k, mode)
     tgt = derivation_basis(model, n, k - 1, mode)
     genset = src.genset
@@ -285,9 +272,7 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
                 f"differential image left the boundary slice at "
                 f"(n={n}, k={k})")
         columns.append(local)
-    matrix = SparseMatrix.from_columns(columns, tgt.dim)
-    _MATRIX_CACHE[key] = matrix
-    return matrix
+    return SparseMatrix.from_columns(columns, tgt.dim)
 
 
 @dataclass
@@ -316,45 +301,19 @@ class HomologySlice:
             sl.local_to_pointed(self.representatives[i]))
 
 
+@cache
 def homology(model: ModelSpec, n: int, k: int,
              mode: Mode = Mode.POINTED) -> HomologySlice:
     """H_k of the positively truncated complex, k >= 1."""
     if k < 1:
         raise ValueError("homology is reported for degrees k >= 1")
-    key = (model.key, n, k, mode)
-    cached = _HOMOLOGY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     delta_k = differential_matrix(model, n, k, mode)
     delta_k1 = differential_matrix(model, n, k + 1, mode)
     cycles = ratlinalg.kernel_basis(delta_k)
     boundaries = ratlinalg.image_basis(delta_k1)
     quotient = ratlinalg.quotient_basis(cycles, boundaries)
     sl = derivation_basis(model, n, k, mode)
-    result = HomologySlice(model, n, k, mode, quotient.dim,
-                           list(quotient.representatives), quotient, sl,
-                           delta_k)
-    _HOMOLOGY_CACHE[key] = result
-    return result
+    return HomologySlice(model, n, k, mode, quotient.dim,
+                         list(quotient.representatives), quotient, sl,
+                         delta_k)
 
-
-class ComplexSlice:
-    """A window of consecutive differentials with the d^2 = 0 check."""
-
-    def __init__(self, model: ModelSpec, n: int, k_range: range,
-                 mode: Mode = Mode.POINTED):
-        self.model = model
-        self.n = n
-        self.mode = mode
-        self.k_range = k_range
-        self.matrices = {k: differential_matrix(model, n, k, mode)
-                         for k in k_range if k >= 1}
-        self.truncated_at_one = 1 in self.matrices
-
-    def verify_squares_to_zero(self) -> bool:
-        for k in self.k_range:
-            if k >= 1 and (k + 1) in self.matrices:
-                if not self.matrices[k].compose(self.matrices[k + 1]).is_zero():
-                    return False
-        return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import reptheory
 from .dermodel import (
@@ -72,17 +73,6 @@ class Injection:
         return {j: self.image[j] for j in range(self.source)}
 
 
-@dataclass
-class InducedMap:
-    """A matrix between two slice or homology coordinate systems."""
-    injection: Injection
-    model: ModelSpec
-    k: int
-    mode: Mode
-    level: str  # "slice" or "homology"
-    matrix: SparseMatrix
-
-
 def relabel_derivation(theta: Derivation, inj: Injection,
                        target_slice: DerSlice) -> Derivation:
     """Extension by zero along an injection."""
@@ -99,7 +89,7 @@ def relabel_derivation(theta: Derivation, inj: Injection,
 
 
 def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
-                      mode: Mode = Mode.POINTED) -> InducedMap:
+                      mode: Mode = Mode.POINTED) -> SparseMatrix:
     """Matrix of the extension-by-zero map in local slice coordinates."""
     src = derivation_basis(model, inj.source, k, mode)
     tgt = derivation_basis(model, inj.target, k, mode)
@@ -112,12 +102,11 @@ def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
             raise ClosureViolation(
                 "extension by zero left the boundary subcomplex")
         columns.append(local)
-    return InducedMap(inj, model, k, mode, "slice",
-                      SparseMatrix.from_columns(columns, tgt.dim))
+    return SparseMatrix.from_columns(columns, tgt.dim)
 
 
 def homology_map(inj: Injection, model: ModelSpec, k: int,
-                 mode: Mode = Mode.POINTED) -> InducedMap:
+                 mode: Mode = Mode.POINTED) -> SparseMatrix:
     """The induced map on homology, via representatives."""
     src_h = homology(model, inj.source, k, mode)
     tgt_h = homology(model, inj.target, k, mode)
@@ -137,52 +126,14 @@ def homology_map(inj: Injection, model: ModelSpec, k: int,
                 f"image of a representative is not a cycle at "
                 f"(n={inj.source}->{inj.target}, k={k})")
         columns.append(tgt_h.reduce(local))
-    return InducedMap(inj, model, k, mode, "homology",
-                      SparseMatrix.from_columns(columns, tgt_h.dimension))
+    return SparseMatrix.from_columns(columns, tgt_h.dimension)
 
 
-_ACTION_CACHE: dict = {}
-
-
+@cache
 def sigma_action(sigma: tuple[int, ...], model: ModelSpec, k: int,
                  mode: Mode = Mode.POINTED) -> SparseMatrix:
     """Action matrix of a permutation on homology coordinates."""
-    key = (model.key, tuple(sigma), k, mode)
-    cached = _ACTION_CACHE.get(key)
-    if cached is None:
-        cached = homology_map(Injection.from_permutation(tuple(sigma)),
-                              model, k, mode).matrix
-        _ACTION_CACHE[key] = cached
-    return cached
-
-
-class PermutationAction:
-    """The full action of the symmetric group on one homology slice."""
-
-    def __init__(self, model: ModelSpec, n: int, k: int,
-                 mode: Mode = Mode.POINTED):
-        self.model = model
-        self.n = n
-        self.k = k
-        self.mode = mode
-
-    def matrix(self, sigma: tuple[int, ...]) -> SparseMatrix:
-        if len(sigma) != self.n:
-            raise ValueError("permutation has the wrong size")
-        return sigma_action(sigma, self.model, self.k, self.mode)
-
-    def check_homomorphism(self, pairs) -> bool:
-        """matrix(sigma) @ matrix(tau) == matrix(sigma o tau) exactly."""
-        for sigma, tau in pairs:
-            composed = tuple(sigma[tau[i]] for i in range(self.n))
-            if self.matrix(sigma).compose(self.matrix(tau)) != \
-                    self.matrix(composed):
-                return False
-        identity = tuple(range(self.n))
-        dim = homology(self.model, self.n, self.k, self.mode).dimension
-        ident = self.matrix(identity)
-        return ident == SparseMatrix(dim, dim, {(i, i): Fraction(1)
-                                                for i in range(dim)})
+    return homology_map(Injection.from_permutation(sigma), model, k, mode)
 
 
 def stabilizer_generators(n: int, m: int) -> list[tuple[int, ...]]:
@@ -202,7 +153,7 @@ def consistency_check(model: ModelSpec, n: int, m: int, k: int,
     stabilization map from arity n to arity m, elementwise."""
     if m <= n:
         raise ValueError("need m > n")
-    image = homology_map(Injection.standard(n, m), model, k, mode).matrix
+    image = homology_map(Injection.standard(n, m), model, k, mode)
     for sigma in stabilizer_generators(n, m):
         act = sigma_action(sigma, model, k, mode)
         for j in range(image.cols):

@@ -17,8 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import cache
+from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .ratlinalg import SparseMatrix, SpanSolver, add_scaled, inverse
@@ -476,17 +476,10 @@ def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
 
 # -- public operations -------------------------------------------------------
 
-_GENSET_CACHE: dict[tuple[str, int], GeneratorSet] = {}
-
-
+@cache
 def free_product_generators(model: ModelSpec, n: int) -> GeneratorSet:
     """Generator set of L(H^(+n)); the differential acts summand-wise."""
-    key = (model.key, n)
-    gs = _GENSET_CACHE.get(key)
-    if gs is None:
-        gs = GeneratorSet(model, n)
-        _GENSET_CACHE[key] = gs
-    return gs
+    return GeneratorSet(model, n)
 
 
 def lyndon_basis(genset: GeneratorSet, degree: int) -> list[LieBasisElement]:
@@ -579,18 +572,12 @@ def relabel_element(src: GeneratorSet, dst: GeneratorSet,
     return dst.from_tensor(e.degree, vec)
 
 
-_OMEGA_CACHE: dict[tuple[str, int], LieElement] = {}
-
-
+@cache
 def omega(model: ModelSpec, n: int) -> LieElement:
     """The degree-(d-2) element (1/2) sum [(a_i^j)^#, a_i^j] over all n*m
     generators, normalized so the least basis bracket has positive
     coefficient.  Checked to be a differential cycle and invariant under all
     summand transpositions."""
-    key = (model.key, n)
-    cached = _OMEGA_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n < 1:
         raise ValueError("arity must be at least 1")
     duals = dual_basis(model)
@@ -622,7 +609,6 @@ def omega(model: ModelSpec, n: int) -> LieElement:
             raise InvarianceFailure(
                 f"omega_{n} not invariant under transposition "
                 f"({t + 1},{t + 2}) for model {model.name}")
-    _OMEGA_CACHE[key] = elem
     return elem
 
 
@@ -803,13 +789,6 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
         if lhs[m] != rhs[m]:
             return PbwReport(False, m, up_to)
     return PbwReport(True, None, up_to)
-
-
-def lie_operad_dim(k: int) -> int:
-    """Dimension of the arity-k layer of the Lie operad."""
-    if k < 1:
-        raise ValueError("arity must be at least 1")
-    return factorial(k - 1)
 
 
 # -- model validation ---------------------------------------------------------

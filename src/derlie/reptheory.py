@@ -190,10 +190,6 @@ def pad(lam_bar: Partition, n: int) -> Partition:
     return (head,) + tuple(lam_bar)
 
 
-def unpad(lam: Partition) -> Partition:
-    return lam[1:]
-
-
 @dataclass
 class StabilityReport:
     """Per-arity decompositions in padded coordinates with a stabilization
@@ -213,10 +209,16 @@ class StabilityReport:
         return self.stabilized_at is not None
 
     def verdict_text(self) -> str:
-        if self.stabilized_at is None:
-            return "not stabilized in range"
-        return (f"stabilized within range at n0={self.stabilized_at} "
-                f"(window {self.stabilized_at}..{self.n_values[-1]})")
+        return stability_verdict(self.stabilized_at, self.n_values)
+
+
+def stability_verdict(onset: Optional[int], n_values) -> str:
+    """The report's wording for a stabilization onset over the ascending
+    arity range n_values."""
+    if onset is None:
+        return "not stabilized in range"
+    return (f"stabilized within range at n0={onset} "
+            f"(window {onset}..{n_values[-1]})")
 
 
 def stabilization_onset(n_values, rows) -> Optional[int]:
@@ -289,7 +291,7 @@ def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
             out[m] = True
             continue
         inc = fistab.Injection.standard(m - 1, m)
-        image = fistab.homology_map(inc, model, k, mode).matrix
+        image = fistab.homology_map(inc, model, k, mode)
         generators = [fistab.sigma_action(sigma, model, k, mode)
                       for sigma in _symmetric_group_generators(m)]
         solver = SpanSolver()

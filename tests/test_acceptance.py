@@ -159,13 +159,13 @@ def test_criterion_5_fi_structure():
                     for i in _all_injections(n, m):
                         for j in _all_injections(m, p):
                             lhs = induced_slice_map(
-                                j, model, 1, mode).matrix.compose(
-                                induced_slice_map(i, model, 1, mode).matrix)
+                                j, model, 1, mode).compose(
+                                induced_slice_map(i, model, 1, mode))
                             rhs = induced_slice_map(j.compose(i), model, 1,
-                                                    mode).matrix
+                                                    mode)
                             ok = ok and lhs == rhs
         ident = Injection.standard(2, 2)
-        mat = induced_slice_map(ident, model, 1, mode).matrix
+        mat = induced_slice_map(ident, model, 1, mode)
         dim = derivation_basis(model, 2, 1, mode).dim
         ok = ok and all(mat.entry(i, i) == 1 for i in range(dim))
     # sampled at size 4
@@ -175,17 +175,16 @@ def test_criterion_5_fi_structure():
     for _ in range(5):
         j = rng.choice(inj34)
         i = rng.choice(inj23)
-        lhs = induced_slice_map(j, sphere, 1).matrix.compose(
-            induced_slice_map(i, sphere, 1).matrix)
-        ok = ok and lhs == induced_slice_map(j.compose(i), sphere, 1).matrix
+        lhs = induced_slice_map(j, sphere, 1).compose(
+            induced_slice_map(i, sphere, 1))
+        ok = ok and lhs == induced_slice_map(j.compose(i), sphere, 1)
     # equivariance: sigma o i at the matrix level, size <= 3
     for sigma in itertools.permutations(range(3)):
         s = Injection.from_permutation(sigma)
         for i in _all_injections(2, 3):
-            lhs = induced_slice_map(s, sphere, 1).matrix.compose(
-                induced_slice_map(i, sphere, 1).matrix)
-            ok = ok and lhs == induced_slice_map(s.compose(i), sphere,
-                                                 1).matrix
+            lhs = induced_slice_map(s, sphere, 1).compose(
+                induced_slice_map(i, sphere, 1))
+            ok = ok and lhs == induced_slice_map(s.compose(i), sphere, 1)
     # consistency lemma on the full grid m <= 4, k <= 2, both modes
     for model, mode in [(sphere, Mode.POINTED), (paired, Mode.BOUNDARY)]:
         for m in range(2, 5):

@@ -21,6 +21,7 @@ from derlie.cli import (
     run,
 )
 from derlie.dermodel import Mode
+from derlie.reptheory import stability_report
 
 F = Fraction
 
@@ -241,7 +242,7 @@ def test_json_round_trip():
     assert json.loads(blob.decode()) == report
 
 
-def test_cold_and_warm_cache_are_byte_identical(tmp_path):
+def test_cold_and_warm_cache_are_byte_identical(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -250,11 +251,18 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path):
             "--cache-dir", str(cache)]
     assert main(args + ["--output", str(out1)]) == EXIT_OK
     assert any(cache.iterdir())
+
+    def no_character(*args):
+        raise AssertionError("a warm run must not recompute characters")
+
+    monkeypatch.setattr("derlie.fistab.character", no_character)
+    monkeypatch.setattr("derlie.cli.character", no_character)
     assert main(args + ["--output", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("damage", ["truncate", "other-cell"])
+@pytest.mark.parametrize("damage", ["truncate", "other-cell", "drop-dim",
+                                    "drop-padded"])
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     cache = tmp_path / "cache"
     cold = tmp_path / "cold.json"
@@ -265,15 +273,30 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     entries = sorted(cache.iterdir())
     assert len(entries) == 3
     victim, other = entries[0], entries[1]
+    original = victim.read_bytes()
     if damage == "truncate":
-        victim.write_bytes(victim.read_bytes()[:10])
-    else:
+        victim.write_bytes(original[:10])
+    elif damage == "other-cell":
         victim.write_bytes(other.read_bytes())
+    else:
+        entry = json.loads(original)
+        del entry[damage.removeprefix("drop-")]
+        victim.write_text(json.dumps(entry), encoding="utf-8")
     assert main(args + ["--output", str(rerun)]) == EXIT_OK
     assert rerun.read_bytes() == cold.read_bytes()
-    repaired = json.loads(victim.read_text(encoding="utf-8"))
-    assert repaired != json.loads(other.read_text(encoding="utf-8"))
+    assert victim.read_bytes() == original
     assert sorted(cache.iterdir()) == entries
+
+
+def test_stability_entry_built_from_cells():
+    report, code = run(job(model_path="sphere3", k_values=(1,),
+                           decompose=True))
+    assert code == EXIT_OK
+    assert [c["padded"] for c in report["cells"]] == [{}, {}, {}]
+    expected = stability_report(load_model("sphere3"), Mode.POINTED, 1,
+                                (1, 2, 3), with_generation=False)
+    assert report["stability"] == [{"k": 1, "stabilized_at": 1,
+                                    "verdict": expected.verdict_text()}]
 
 
 def test_worker_count_does_not_change_output(tmp_path):

@@ -16,7 +16,6 @@ from derlie.gradedlie import (
     free_product_generators,
     lie_dim,
     lie_dims_from_operad_series,
-    lie_operad_dim,
     lyndon_basis,
     omega,
     pbw_series_check,
@@ -340,12 +339,6 @@ def test_pbw_trivial_for_no_generators():
     assert pbw_series_check(g, 5).ok
 
 
-# ---- lie_operad_dim ------------------------------------------------------------
-
-def test_lie_operad_dims():
-    assert lie_operad_dim(1) == 1
-    assert lie_operad_dim(2) == 1
-    assert lie_operad_dim(4) == 6
 
 
 # ---- validation ----------------------------------------------------------------
