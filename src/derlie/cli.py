@@ -307,11 +307,19 @@ def resolve_model_path(spec: str) -> tuple[str, bytes]:
         + ", ".join(bundled_model_names()))
 
 
+def _decode_model(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"model file is not UTF-8: {exc.reason}",
+                         raw[:exc.start].count(b"\n") + 1)
+
+
 def load_model(path: str) -> ModelSpec:
     """Parse and validate a model file; raises ParseError or
     ValidationError."""
     _, raw = resolve_model_path(path)
-    model = parse_model_text(raw.decode("utf-8"))
+    model = parse_model_text(_decode_model(raw))
     problems = validate_model(model)
     if problems:
         raise ValidationError(problems)
@@ -407,7 +415,6 @@ def _cache_write(cache_dir: Optional[str], key: str, value: dict) -> None:
     """Write (or repair) one entry atomically."""
     if cache_dir is None:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -458,12 +465,17 @@ def _cell_worker(args) -> dict:
 
 
 def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode) -> int:
+    """Pointed dimension of the slices the cell builds (degrees k and
+    k + 1), or the omega target of the top degree in boundary mode when
+    larger.  A zero differential needs no boundaries, so only degree k
+    counts."""
     genset = free_product_generators(model, n)
+    top = k if genset.has_zero_differential else k + 1
     cost = sum(lie_dim(genset, genset.degrees[g] + kk)
-               for kk in (k, k + 1)
+               for kk in range(k, top + 1)
                for g in range(genset.count))
     if mode is Mode.BOUNDARY and model.ambient_dim is not None:
-        cost = max(cost, lie_dim(genset, model.ambient_dim - 2 + k + 1))
+        cost = max(cost, lie_dim(genset, model.ambient_dim - 2 + top))
     return cost
 
 
@@ -573,13 +585,14 @@ def _run_checks(model: ModelSpec, job: JobSpec,
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job; returns (report, exit code)."""
     try:
-        path, raw = resolve_model_path(job.model_path)
-    except FileNotFoundError as exc:
+        _, raw = resolve_model_path(job.model_path)
+    except OSError as exc:
         return _error_report(job, "validation-error", str(exc)), \
             EXIT_VALIDATION
     model_sha = hashlib.sha256(raw).hexdigest()
     try:
-        model = parse_model_text(raw.decode("utf-8"))
+        text = _decode_model(raw)
+        model = parse_model_text(text)
         problems = validate_model(model)
         if problems:
             raise ValidationError(problems)
@@ -607,6 +620,14 @@ def run(job: JobSpec) -> tuple[dict, int]:
                 report["model"] = {"name": model.name, "sha256": model_sha}
                 return report, EXIT_RESOURCE_CAP
 
+    if job.cache_dir is not None:
+        try:
+            os.makedirs(job.cache_dir, exist_ok=True)
+        except OSError as exc:
+            return _error_report(job, "validation-error",
+                                 f"cache dir unusable: {exc}"), \
+                EXIT_VALIDATION
+
     cells = []
     pending = []
     for k in job.k_values:
@@ -622,7 +643,6 @@ def run(job: JobSpec) -> tuple[dict, int]:
         if pending:
             pool_size = min(job.workers, len(pending), os.cpu_count() or 1)
             if pool_size > 1:
-                text = raw.decode("utf-8")
                 args = [(text, job.mode.value, n, k, job.decompose)
                         for n, k, _ in pending]
                 with ProcessPoolExecutor(max_workers=pool_size) as pool:
@@ -840,8 +860,12 @@ def main(argv=None) -> int:
     report, code = run(job)
     payload = emit_report(report, job.fmt)
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return code

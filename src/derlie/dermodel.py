@@ -13,7 +13,8 @@ supported, selected by ``Mode``:
 The differential is theta -> d o theta - (-1)^k theta o d.  Homology in
 degree k is ker(delta_k)/im(delta_{k+1}); for k = 1 the kernel is taken
 into the materialized degree-0 slice, which implements the positive
-truncation.
+truncation.  When the model's differential is zero, delta = 0 and H_k is
+the degree-k slice: the degree-(k+1) slice is never built.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     src = derivation_basis(model, n, k, mode)
     tgt = derivation_basis(model, n, k - 1, mode)
     genset = src.genset
+    if genset.has_zero_differential:
+        return SparseMatrix(tgt.dim, src.dim)
     sign = Fraction(-1) if k % 2 else Fraction(1)
     columns: list[Vector] = []
     for i in range(src.dim):
@@ -308,11 +311,15 @@ def homology(model: ModelSpec, n: int, k: int,
     if k < 1:
         raise ValueError("homology is reported for degrees k >= 1")
     delta_k = differential_matrix(model, n, k, mode)
-    delta_k1 = differential_matrix(model, n, k + 1, mode)
-    cycles = ratlinalg.kernel_basis(delta_k)
-    boundaries = ratlinalg.image_basis(delta_k1)
-    quotient = ratlinalg.quotient_basis(cycles, boundaries)
     sl = derivation_basis(model, n, k, mode)
+    cycles = ratlinalg.kernel_basis(delta_k)
+    if sl.genset.has_zero_differential:
+        # delta_{k+1} = 0: no boundaries, so no degree-(k+1) slice is built
+        boundaries = SubspaceBasis(sl.dim, [], [])
+    else:
+        boundaries = ratlinalg.image_basis(
+            differential_matrix(model, n, k + 1, mode))
+    quotient = ratlinalg.quotient_basis(cycles, boundaries)
     return HomologySlice(model, n, k, mode, quotient.dim,
                          list(quotient.representatives), quotient, sl,
                          delta_k)

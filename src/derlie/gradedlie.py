@@ -406,7 +406,7 @@ def tensor_concat(u: TensorVector, v: TensorVector) -> TensorVector:
     for wu, cu in u.items():
         for wv, cv in v.items():
             w = wu + wv
-            nv = out.get(w, Fraction(0)) + cu * cv
+            nv = out.get(w, 0) + cu * cv
             if nv:
                 out[w] = nv
             else:
@@ -438,7 +438,7 @@ def apply_values_tensor(genset: GeneratorSet, op_degree: int,
                 head, tail = word[:pos], word[pos + 1:]
                 for w2, c2 in val.items():
                     nw = head + w2 + tail
-                    nv = out.get(nw, Fraction(0)) + sign * c * c2
+                    nv = out.get(nw, 0) + sign * c * c2
                     if nv:
                         out[nw] = nv
                     else:
@@ -547,7 +547,7 @@ def relabel_tensor(src: GeneratorSet, dst: GeneratorSet,
     out: TensorVector = {}
     for w, c in vec.items():
         nw = tuple(summand_map[g // m] * m + (g % m) for g in w)
-        out[nw] = out.get(nw, Fraction(0)) + c
+        out[nw] = out.get(nw, 0) + c
     return {w: c for w, c in out.items() if c != 0}
 
 

@@ -152,8 +152,9 @@ class SparseMatrix:
                     m._rows[r][c] = Fraction(v)
         return m
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self._rows[r].get(c, Fraction(0))
+    def entry(self, r: int, c: int) -> Fraction | int:
+        """The stored entry, or the int 0 when none is stored."""
+        return self._rows[r].get(c, 0)
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:

@@ -11,6 +11,7 @@ from derlie.cli import (
     JobSpec,
     ParseError,
     ValidationError,
+    _predicted_cost,
     bundled_model_names,
     emit_report,
     load_model,
@@ -149,9 +150,56 @@ def test_run_boundary_requires_pairing():
     assert report["status"] == "validation-error"
 
 
-def test_run_missing_model():
-    report, code = run(job(model_path="/nonexistent/foo.model"))
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_run_missing_model(tmp_path, case):
+    (tmp_path / "latin1.model").write_bytes(
+        "name: caf\u00e9\ngenerators:\n  x: 1\n".encode("latin-1"))
+    path, status = {
+        "missing": ("/nonexistent/foo.model", "validation-error"),
+        "directory": (str(tmp_path), "validation-error"),
+        "not-utf8": (str(tmp_path / "latin1.model"), "parse-error")}[case]
+    report, code = run(job(model_path=path))
     assert code == EXIT_VALIDATION
+    assert report["status"] == status
+
+
+def test_cost_guard_counts_only_built_slices():
+    # zero differential: only degree k is built (dim 6; degree k + 1 was
+    # counted before, predicting 10)
+    report, code = run(job(k_values=(1,), n_values=(2,), max_dim=8))
+    assert code == EXIT_OK
+    assert report["cells"][0]["dim"] == 6
+    # nonzero differential: degrees k and k + 1 are both built
+    model = load_model("s3xs3-product")
+    assert _predicted_cost(model, 2, 1, Mode.POINTED) == 80
+    report, code = run(job(model_path="s3xs3-product", k_values=(1,),
+                           n_values=(2,), max_dim=79))
+    assert code == EXIT_RESOURCE_CAP
+    assert "predicted dimension 80" in report["error"]
+
+
+def test_cache_dir_that_is_a_file_is_rejected_first(tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_bytes(b"x")
+
+    def no_cell(*args):
+        raise AssertionError("no cell may be computed")
+
+    monkeypatch.setattr("derlie.cli._compute_cell", no_cell)
+    report, code = run(job(cache_dir=str(not_a_dir)))
+    assert code == EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert not_a_dir.read_bytes() == b"x"
+
+
+def test_output_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    code = main(["compute", "--model", "sphere2", "--k", "1", "--n", "1",
+                 "--output", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_run_resource_cap():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
+from derlie import dermodel
 from derlie.dermodel import (
     Derivation,
     Mode,
@@ -216,12 +217,40 @@ def test_product_model_homology_against_oracle(product_model):
         assert got == expected, (k, got, expected)
 
 
-def test_zero_differential_homology_is_slice(sphere2, s2xs2):
+def spy_on_slices(monkeypatch) -> list:
+    """Record (function name, k) of every derivation_basis and
+    differential_matrix call made inside dermodel."""
+    calls = []
+    for name in ("derivation_basis", "differential_matrix"):
+        def spy(model, n, k, mode=Mode.POINTED, _name=name,
+                _real=getattr(dermodel, name)):
+            calls.append((_name, k))
+            return _real(model, n, k, mode)
+        monkeypatch.setattr(dermodel, name, spy)
+    return calls
+
+
+def test_zero_differential_homology_is_slice(sphere2, s2xs2, monkeypatch):
+    calls = spy_on_slices(monkeypatch)
     for model, n, k, mode in [(sphere2, 2, 1, Mode.POINTED),
                               (sphere2, 3, 2, Mode.POINTED),
                               (s2xs2, 2, 1, Mode.BOUNDARY)]:
-        h = homology(model, n, k, mode)
+        calls.clear()
+        h = homology.__wrapped__(model, n, k, mode)  # bypass the memo
         assert h.dimension == derivation_basis(model, n, k, mode).dim
+        assert ("differential_matrix", k) in calls
+        assert ("derivation_basis", k + 1) not in calls
+        assert ("differential_matrix", k + 1) not in calls
+
+
+def test_nonzero_differential_homology_builds_next_degree(
+        product_model, cp3, monkeypatch):
+    calls = spy_on_slices(monkeypatch)
+    for model, n, k, mode in [(product_model, 2, 1, Mode.POINTED),
+                              (cp3, 2, 1, Mode.BOUNDARY)]:
+        calls.clear()
+        homology.__wrapped__(model, n, k, mode)
+        assert ("differential_matrix", k + 1) in calls
 
 
 def test_truncation_order_is_irrelevant(s2xs2, cp2, product_model):
