@@ -30,7 +30,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -643,6 +642,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
         if pending:
             pool_size = min(job.workers, len(pending), os.cpu_count() or 1)
             if pool_size > 1:
+                from concurrent.futures import ProcessPoolExecutor
                 args = [(text, job.mode.value, n, k, job.decompose)
                         for n, k, _ in pending]
                 with ProcessPoolExecutor(max_workers=pool_size) as pool:
@@ -857,13 +857,25 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.output:
+        # Fail before any cell is computed; an existing report keeps its
+        # bytes until the new one is written.
+        try:
+            if os.path.exists(args.output):
+                open(args.output, "ab").close()
+            else:
+                open(args.output, "xb").close()
+                os.remove(args.output)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     report, code = run(job)
     payload = emit_report(report, job.fmt)
     if args.output:
         try:
             with open(args.output, "wb") as fh:
                 fh.write(payload)
-        except OSError as exc:
+        except OSError as exc:  # the path changed while the job ran
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     else:

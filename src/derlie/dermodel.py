@@ -31,6 +31,7 @@ from .gradedlie import (
     LieBasisElement,
     LieElement,
     ModelSpec,
+    apply_differential,
     apply_values_tensor,
     free_product_generators,
     lyndon_basis,
@@ -248,27 +249,22 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     genset = src.genset
     if genset.has_zero_differential:
         return SparseMatrix(tgt.dim, src.dim)
-    sign = Fraction(-1) if k % 2 else Fraction(1)
+    sign = -1 if k % 2 else 1
+    letters = {gid: {g for w in dvec for g in w}
+               for gid, dvec in genset._diff_tensor.items()}
     columns: list[Vector] = []
     for i in range(src.dim):
         theta = src.basis_derivation(i)
-        theta_tensor = theta.tensor_values()
-        pointed: Vector = {}
-        for gid in range(genset.count):
-            acc: dict = {}
-            val = theta.values.get(gid)
-            if val is not None:
-                acc = apply_values_tensor(genset, -1, genset._diff_tensor,
-                                          genset.to_tensor(val))
-            dvec = genset._diff_tensor.get(gid)
-            if dvec:
-                add_scaled(acc, -sign,
-                           apply_values_tensor(genset, k, theta_tensor, dvec))
-            if not acc:
-                continue
-            value = genset.from_tensor(genset.degrees[gid] + k - 1, acc)
-            for elem, c in value.coeffs.items():
-                pointed[tgt.coord_index[(gid, elem)]] = c
+        values = {gid: dict(apply_differential(genset, val).coeffs)
+                  for gid, val in theta.values.items()}  # d o theta
+        for gid, dvec in genset._diff_tensor.items():  # theta o d
+            if not letters[gid].isdisjoint(theta.values):
+                img = apply_values_tensor(genset, k, theta.tensor_values(),
+                                          dvec)
+                value = genset.from_tensor(genset.degrees[gid] + k - 1, img)
+                add_scaled(values.setdefault(gid, {}), -sign, value.coeffs)
+        pointed = {tgt.coord_index[(gid, e)]: x
+                   for gid, v in values.items() for e, x in v.items()}
         local = tgt.pointed_to_local(pointed)
         if local is None:
             raise ClosureViolation(
@@ -288,7 +284,6 @@ class HomologySlice:
     dimension: int
     representatives: list[Vector]  # local coordinates in the degree-k slice
     _quotient: ratlinalg.Quotient
-    _slice: DerSlice
     _delta: SparseMatrix
 
     def reduce(self, local_vec: Mapping[int, Fraction]) -> Vector:
@@ -297,11 +292,6 @@ class HomologySlice:
 
     def is_cycle(self, local_vec: Mapping[int, Fraction]) -> bool:
         return not self._delta.apply(local_vec)
-
-    def representative_derivation(self, i: int) -> Derivation:
-        sl = self._slice
-        return sl.pointed_to_derivation(
-            sl.local_to_pointed(self.representatives[i]))
 
 
 @cache
@@ -321,6 +311,5 @@ def homology(model: ModelSpec, n: int, k: int,
             differential_matrix(model, n, k + 1, mode))
     quotient = ratlinalg.quotient_basis(cycles, boundaries)
     return HomologySlice(model, n, k, mode, quotient.dim,
-                         list(quotient.representatives), quotient, sl,
-                         delta_k)
+                         list(quotient.representatives), quotient, delta_k)
 

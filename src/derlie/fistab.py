@@ -65,10 +65,6 @@ class Injection:
         return Injection(inner.source, self.target,
                          tuple(self.image[j] for j in inner.image))
 
-    @property
-    def is_permutation(self) -> bool:
-        return self.source == self.target
-
     def summand_map(self) -> dict[int, int]:
         return {j: self.image[j] for j in range(self.source)}
 
@@ -153,11 +149,10 @@ def consistency_check(model: ModelSpec, n: int, m: int, k: int,
     stabilization map from arity n to arity m, elementwise."""
     if m <= n:
         raise ValueError("need m > n")
-    image = homology_map(Injection.standard(n, m), model, k, mode)
+    image = homology_map(Injection.standard(n, m), model, k, mode).columns()
     for sigma in stabilizer_generators(n, m):
         act = sigma_action(sigma, model, k, mode)
-        for j in range(image.cols):
-            col = image.column(j)
+        for col in image:
             if act.apply(col) != col:
                 return False
     return True

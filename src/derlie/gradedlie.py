@@ -5,7 +5,9 @@ The basis in each total degree is the super-Lyndon basis: standard
 bracketings of Lyndon words, plus self-brackets [w,w] of Lyndon words of odd
 total degree.  All bracket arithmetic happens in tensor coordinates, where
 the only sign rule is the Koszul commutator [u,v] = uv - (-1)^{|u||v|}vu;
-re-expression in the Lyndon basis is exact sparse linear algebra.
+re-expression in the Lyndon basis is exact sparse linear algebra.  Lyndon
+expansions carry int coefficients (standard bracketings are integral);
+``LieElement`` coefficients are Fractions.
 
 Generator order is summand-major: inside L(H^(+n)) the copy index is
 compared first, the base generator index second.  This order defines which
@@ -240,6 +242,7 @@ class GeneratorSet:
         self.degrees = [d for _ in range(arity) for _, d in model.generators]
         self._slices: dict[int, _Slice] = {}
         self._expansion_cache: dict[LieBasisElement, TensorVector] = {}
+        self._d_cache: dict[LieBasisElement, dict] = {}  # d, Lyndon coords
         self._diff_tensor = self._build_differential()
 
     # -- identity -----------------------------------------------------------
@@ -284,15 +287,27 @@ class GeneratorSet:
         return out
 
     def differential_of(self, gid: int) -> LieElement:
-        vec = self._diff_tensor.get(gid)
-        deg = self.degrees[gid] - 1
-        if not vec:
-            return LieElement(deg)
-        return self.from_tensor(deg, vec)
+        return LieElement(self.degrees[gid] - 1,
+                          self.differential(LieBasisElement(False, (gid,))))
 
     @property
     def has_zero_differential(self) -> bool:
         return not self._diff_tensor
+
+    def differential(self, elem: LieBasisElement
+                     ) -> dict[LieBasisElement, Fraction]:
+        """Shared, memoized d(elem) in Lyndon coordinates (do not mutate);
+        zero without expanding elem when no letter of its word has a d."""
+        out = self._d_cache.get(elem)
+        if out is None:
+            out = {}
+            if not self._diff_tensor.keys().isdisjoint(elem.word):
+                vec = apply_values_tensor(self, -1, self._diff_tensor,
+                                          self.expansion(elem))
+                out = self.from_tensor(self.element_degree(elem) - 1,
+                                       vec).coeffs
+            self._d_cache[elem] = out
+        return out
 
     # -- basis --------------------------------------------------------------
 
@@ -356,7 +371,7 @@ class GeneratorSet:
 
     def _expand_word(self, word: Word) -> TensorVector:
         if len(word) == 1:
-            return {word: Fraction(1)}
+            return {word: 1}
         u, v = _standard_factorization(word)
         return tensor_commutator(self._expand_word(u), self._expand_word(v),
                                  self.word_degree(u), self.word_degree(v))
@@ -500,11 +515,10 @@ def bracket(genset: GeneratorSet, u: LieElement, v: LieElement) -> LieElement:
 
 def apply_differential(genset: GeneratorSet, e: LieElement) -> LieElement:
     """d(e), extended from generators by the graded Leibniz rule."""
-    if e.is_zero():
-        return LieElement(e.degree - 1)
-    vec = apply_values_tensor(genset, -1, genset._diff_tensor,
-                              genset.to_tensor(e))
-    return genset.from_tensor(e.degree - 1, vec)
+    out: dict = {}
+    for elem, c in e.coeffs.items():
+        add_scaled(out, c, genset.differential(elem))
+    return LieElement(e.degree - 1, out)
 
 
 def _pairing_inverse(model: ModelSpec) -> Optional[SparseMatrix]:

@@ -8,9 +8,9 @@ stripping); fractions only appear in the final normalization step.
 
 One sparse convention holds for every vector that crosses a function
 boundary here and in the layers above: a ``Vector`` (or a tensor vector) is
-a dict from coordinate keys to nonzero Fractions; a missing key means zero
-and no zero is ever stored.  ``add_scaled`` is the one accumulation step
-that keeps it.
+a dict from coordinate keys to nonzero rationals (int or Fraction); a
+missing key means zero and no zero is ever stored.  ``add_scaled`` is the
+one accumulation step that keeps it.
 """
 
 from __future__ import annotations
@@ -167,6 +167,14 @@ class SparseMatrix:
     def column(self, c: int) -> Vector:
         return {r: row[c] for r, row in enumerate(self._rows) if c in row}
 
+    def columns(self) -> list[Vector]:
+        """Every column, built in one pass over the rows."""
+        cols: list[Vector] = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                cols[c][r] = v
+        return cols
+
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
 
@@ -185,11 +193,7 @@ class SparseMatrix:
     def _column_cache(self) -> list[dict[int, Fraction]]:
         cache = getattr(self, "_cols_cached", None)
         if cache is None:
-            cache = [dict() for _ in range(self.cols)]
-            for r, row in enumerate(self._rows):
-                for c, v in row.items():
-                    cache[c][r] = v
-            self._cols_cached = cache
+            cache = self._cols_cached = self.columns()
         return cache
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -197,9 +201,8 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in composition")
         out = SparseMatrix(self.rows, other.cols)
-        for c in range(other.cols):
-            col = self.apply(other.column(c))
-            for r, v in col.items():
+        for c, other_col in enumerate(other.columns()):
+            for r, v in self.apply(other_col).items():
                 out._rows[r][c] = v
         return out
 
@@ -218,6 +221,7 @@ class SubspaceBasis:
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.pivots = pivots
+        self.pivot_index = {p: i for i, p in enumerate(pivots)}
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Mapping[int, Fraction]],
@@ -264,8 +268,7 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
 
 def image_basis(m: SparseMatrix) -> SubspaceBasis:
     """Canonical basis of the column space of m."""
-    columns = [m.column(c) for c in range(m.cols)]
-    return SubspaceBasis.from_vectors(columns, m.rows)
+    return SubspaceBasis.from_vectors(m.columns(), m.rows)
 
 
 def inverse(m: SparseMatrix) -> Optional[SparseMatrix]:
@@ -287,19 +290,18 @@ def coordinates_in_span(
 ) -> Optional[Vector]:
     """Exact coordinates of v in the basis b, or None if v is not in span(b).
 
-    Coordinates are read off the pivot columns (valid because b is reduced
-    echelon) and then verified exactly.
+    Coordinates are v's entries at the pivot columns (valid because each
+    vector of the reduced echelon basis b is zero at the other pivots); the
+    residual is then verified exactly.
     """
     for c in v:
         if not (0 <= c < b.ambient_dim):
             raise ValueError(f"coordinate {c} outside ambient dimension")
-    coords: Vector = {}
+    index = b.pivot_index
+    coords: Vector = {index[p]: x for p, x in v.items() if p in index}
     residual = dict(v)
-    for i, (p, row) in enumerate(zip(b.pivots, b.vectors)):
-        coeff = residual.get(p)
-        if coeff:
-            coords[i] = coeff
-            add_scaled(residual, -coeff, row)
+    for i, x in coords.items():
+        add_scaled(residual, -x, b.vectors[i])
     if residual:
         return None
     return coords
@@ -308,26 +310,26 @@ def coordinates_in_span(
 class Quotient:
     """A quotient cycles/boundaries with canonical representatives."""
 
-    def __init__(self, cycles: SubspaceBasis, boundaries_in_cycle_coords,
+    def __init__(self, cycles: SubspaceBasis, boundary: dict[int, Vector],
                  free_positions: list[int]):
         self._cycles = cycles
-        self._rows, self._pivots = boundaries_in_cycle_coords
-        self._free = free_positions
+        self._boundary = boundary  # RREF rows in cycle coordinates, by pivot
+        self._free_index = {f: j for j, f in enumerate(free_positions)}
         self.representatives = [cycles.vectors[f] for f in free_positions]
 
     @property
     def dim(self) -> int:
-        return len(self._free)
+        return len(self._free_index)
 
     def reduce(self, v: Mapping[int, Fraction]) -> Vector:
         """Class coordinates of a cycle v; raises if v is not a cycle."""
         c = coordinates_in_span(self._cycles, v)
         if c is None:
             raise ValueError("vector is not in the cycle space")
-        for p, row in zip(self._pivots, self._rows):
-            if p in c:
-                add_scaled(c, -c[p], row)
-        return {j: c[f] for j, f in enumerate(self._free) if f in c}
+        # RREF rows are zero at each other's pivots: c's pivot entries stay
+        for p in [p for p in c if p in self._boundary]:
+            add_scaled(c, -c[p], self._boundary[p])
+        return {self._free_index[f]: x for f, x in c.items()}
 
 
 def quotient_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> Quotient:
@@ -342,9 +344,9 @@ def quotient_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> Quotient
                 "boundary vector not contained in cycle space")
         in_coords.append(coords)
     rows, pivots = _reduced_echelon(in_coords)
-    pivot_set = set(pivots)
-    free = [i for i in range(cycles.dim) if i not in pivot_set]
-    return Quotient(cycles, (rows, pivots), free)
+    boundary = dict(zip(pivots, rows))
+    free = [i for i in range(cycles.dim) if i not in boundary]
+    return Quotient(cycles, boundary, free)
 
 
 class SpanSolver:

@@ -296,8 +296,7 @@ def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
                       for sigma in _symmetric_group_generators(m)]
         solver = SpanSolver()
         queue = []
-        for j in range(image.cols):
-            col = image.column(j)
+        for col in image.columns():
             if solver.add(col):
                 queue.append(col)
         while queue and solver.size < hm.dimension:

@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +207,55 @@ def test_output_in_missing_directory(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_unwritable_output_rejected_before_any_cell(tmp_path, capsys,
+                                                    monkeypatch, where):
+    from derlie import cli as climod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(climod, "_compute_cell", refuse)
+    out = tmp_path / "missing" / "report.txt"
+    if where == "directory":
+        out = tmp_path
+    code = main(["compute", "--model", "sphere2", "--k", "1", "--n", "1",
+                 "--output", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_existing_output_kept_until_the_report_is_written(tmp_path,
+                                                          monkeypatch):
+    from derlie import cli as climod
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"old report")
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(out.read_bytes())
+        return real(*args, **kwargs)
+
+    real = climod._compute_cell
+    monkeypatch.setattr(climod, "_compute_cell", spy)
+    assert main(["compute", "--model", "sphere2", "--k", "1", "--n", "1",
+                 "--output", str(out)]) == EXIT_OK
+    assert seen == [b"old report"]
+    assert out.read_bytes().startswith(b"derlie")
+
+
+def test_import_does_not_load_the_process_pool():
+    import derlie
+    src = str(Path(derlie.__file__).resolve().parents[1])
+    code = ("import sys, derlie.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_run_resource_cap():
     report, code = run(job(max_dim=2))
     assert code == EXIT_RESOURCE_CAP
@@ -240,7 +294,7 @@ def test_worker_pool_capped_at_pending_cells_and_cores(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(climod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(climod.os, "cpu_count", lambda: 64)
     report, code = run(job(k_values=(1,), n_values=(1, 2),
                            workers=10 ** 6))

@@ -217,6 +217,18 @@ def test_product_model_homology_against_oracle(product_model):
         assert got == expected, (k, got, expected)
 
 
+@pytest.mark.parametrize("n, max_degree, expected", [
+    (2, 8, {1: 12, 2: 4}), (3, 7, {1: 96})])
+def test_product_model_homology_against_oracle_higher_arity(
+        product_model, n, max_degree, expected):
+    # from n = 2 on, theta o d is computed only for the theta that are
+    # nonzero on a letter of some dc, and skipped for the rest
+    brute = bruteforce.BruteComplex(bruteforce.product_model(), n, max_degree)
+    for k, dim in expected.items():
+        assert brute.pointed_homology_dim(k) == dim
+        assert homology(product_model, n, k, Mode.POINTED).dimension == dim
+
+
 def spy_on_slices(monkeypatch) -> list:
     """Record (function name, k) of every derivation_basis and
     differential_matrix call made inside dermodel."""

@@ -5,12 +5,14 @@ import pytest
 
 import bruteforce
 from derlie.gradedlie import (
+    GeneratorSet,
     InvarianceFailure,
     LieBasisElement,
     LieElement,
     ModelSpec,
     SingularPairing,
     apply_differential,
+    apply_values_tensor,
     bracket,
     dual_basis,
     free_product_generators,
@@ -178,6 +180,34 @@ def test_differential_squares_to_zero_on_every_basis_element(product_model):
                 e = LieElement(degree, {b: F(1)})
                 assert apply_differential(
                     g, apply_differential(g, e)).is_zero()
+
+
+def test_memoized_differential_matches_tensor_path(product_model, cp3,
+                                                  monkeypatch):
+    calls = []
+    real_expansion = GeneratorSet.expansion
+
+    def spy(self, e):
+        calls.append(e)
+        return real_expansion(self, e)
+
+    for model, n in [(product_model, 1), (product_model, 2), (cp3, 1)]:
+        g = GeneratorSet(model, n)  # a fresh, uncached differential memo
+        elements = [e for degree in range(1, 9)
+                    for e in lyndon_basis(g, degree)]
+        with_d = {e for e in elements
+                  if any(x in g._diff_tensor for x in e.word)}
+        assert with_d and len(with_d) < len(elements)
+        monkeypatch.setattr(GeneratorSet, "expansion", spy)
+        for e in elements:
+            if e not in with_d:
+                assert g.differential(e) == {}
+        assert calls == []
+        monkeypatch.setattr(GeneratorSet, "expansion", real_expansion)
+        for e in with_d:
+            vec = apply_values_tensor(g, -1, g._diff_tensor, g.expansion(e))
+            degree = g.word_degree(e.word) * (2 if e.square else 1)
+            assert g.differential(e) == g.from_tensor(degree - 1, vec).coeffs
 
 
 def test_leibniz_rule(product_model):

@@ -93,6 +93,41 @@ def test_coordinates_scalar_multiple():
     assert coordinates_in_span(b, {0: F(2), 1: F(3)}) is None
 
 
+def test_coordinates_reject_an_extra_off_pivot_entry():
+    b = SubspaceBasis.from_vectors([{0: F(1), 2: F(1)}, {1: F(1), 2: F(2)}],
+                                   4)
+    member = {0: F(3), 1: F(-1), 2: F(1)}
+    assert coordinates_in_span(b, member) == {0: F(3), 1: F(-1)}
+    assert coordinates_in_span(b, {**member, 3: F(5)}) is None
+    assert coordinates_in_span(b, {**member, 2: F(2)}) is None
+
+
+def _pivot_scan_coordinates(b, v):
+    """Reference: subtract basis vectors in pivot order."""
+    coords, residual = {}, dict(v)
+    for i, (p, row) in enumerate(zip(b.pivots, b.vectors)):
+        coeff = residual.get(p)
+        if coeff:
+            coords[i] = coeff
+            add_scaled(residual, -coeff, row)
+    return None if residual else coords
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                min_size=1, max_size=5),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_coordinates_match_the_pivot_scan(rows, probe):
+    m = mat(len(rows), 5, {(r, c): x for r, row in enumerate(rows)
+                           for c, x in enumerate(row) if x})
+    b = image_basis(m)
+    vectors = m.columns()
+    assert vectors == [m.column(c) for c in range(m.cols)]
+    vectors.append({r: F(x) for r, x in enumerate(probe[:m.rows]) if x})
+    for v in vectors:
+        assert coordinates_in_span(b, v) == _pivot_scan_coordinates(b, v)
+
+
 def test_coordinates_dimension_mismatch():
     b = SubspaceBasis.from_vectors([{0: F(1)}], 1)
     with pytest.raises(ValueError):
@@ -184,6 +219,24 @@ def test_reduce_is_zero_on_boundaries_and_surjective():
         assert q.reduce(b) == {}
     for rep in q.representatives:
         assert q.reduce(rep) != {}
+
+
+def test_reduce_keys_are_class_indices_without_zeros():
+    rng = random.Random(17)
+    for _ in range(20):
+        m = _random_matrix(rng, 4, 7)
+        cycles = kernel_basis(m)
+        boundaries = SubspaceBasis.from_vectors(
+            [add_scaled(dict(u), F(rng.randint(-2, 2)), w)
+             for u, w in zip(cycles.vectors, cycles.vectors[1:2])], m.cols)
+        q = quotient_basis(cycles, boundaries)
+        for _ in range(5):
+            v: dict = {}
+            for u in cycles.vectors:
+                add_scaled(v, F(rng.randint(-2, 2)), u)
+            cls = q.reduce(v)
+            assert set(cls) <= set(range(q.dim))
+            assert 0 not in cls.values()
 
 
 def test_returned_coordinates_store_no_zeros():
