@@ -302,11 +302,15 @@ def homology(model: ModelSpec, n: int, k: int,
         raise ValueError("homology is reported for degrees k >= 1")
     delta_k = differential_matrix(model, n, k, mode)
     sl = derivation_basis(model, n, k, mode)
-    cycles = ratlinalg.kernel_basis(delta_k)
     if sl.genset.has_zero_differential:
-        # delta_{k+1} = 0: no boundaries, so no degree-(k+1) slice is built
+        # delta = 0: every vector is a cycle and none is a boundary, so no
+        # elimination runs and no degree-(k+1) slice is built
+        cycles = SubspaceBasis(sl.dim, [{i: Fraction(1)}
+                                        for i in range(sl.dim)],
+                               list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])
     else:
+        cycles = ratlinalg.kernel_basis(delta_k)
         boundaries = ratlinalg.image_basis(
             differential_matrix(model, n, k + 1, mode))
     quotient = ratlinalg.quotient_basis(cycles, boundaries)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Optional
 
 from . import reptheory
 from .dermodel import (
@@ -23,7 +24,12 @@ from .dermodel import (
     derivation_basis,
     homology,
 )
-from .gradedlie import LieElement, ModelSpec, relabel_element
+from .gradedlie import (
+    LieElement,
+    ModelSpec,
+    free_product_generators,
+    relabel_element,
+)
 from .ratlinalg import SparseMatrix, Vector
 
 
@@ -172,12 +178,61 @@ def cycle_type_representative(mu: reptheory.Partition) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def character(model: ModelSpec, n: int, k: int,
-              mode: Mode = Mode.POINTED) -> reptheory.ClassFunction:
-    """Trace of the homology action at one representative per cycle type."""
+def _omega_constraint_onto(model: ModelSpec, n: int, k: int) -> bool:
+    """Whether theta -> theta(omega) maps the pointed degree-k slice onto
+    L_{d-2+k}: its rank is the pointed dimension minus the kernel's."""
+    sl = derivation_basis(model, n, k, Mode.BOUNDARY)
+    target = sl.genset.slice(model.ambient_dim - 2 + k)
+    return sl.pointed_dim - sl.dim == target.dim
+
+
+def _trace_character(model: ModelSpec, n: int, k: int, mode: Mode
+                     ) -> Optional[dict[reptheory.Partition, Fraction]]:
+    """Character of a zero-differential cell from traces on Lie slices, or
+    None when the cell needs the action matrices.
+
+    With delta = 0, H_k is the degree-k slice: the sum over generators g of
+    L_{|g|+k}, on which sigma acts by relabeling, with a zero diagonal
+    unless sigma fixes g's summand.  In boundary mode it is the kernel of
+    the equivariant map theta -> theta(omega) (omega is sigma-invariant);
+    when that map is onto L_{d-2+k}, that slice's trace is subtracted."""
+    genset = free_product_generators(model, n)
+    if not genset.has_zero_differential:
+        return None
+    omega_degree = None
+    if mode is Mode.BOUNDARY:
+        if not _omega_constraint_onto(model, n, k):
+            return None
+        omega_degree = model.ambient_dim - 2 + k
     values: dict[reptheory.Partition, Fraction] = {}
     for mu in reptheory.partitions(n):
-        act = sigma_action(cycle_type_representative(mu), model, k, mode)
-        trace = sum((act.entry(i, i) for i in range(act.rows)), Fraction(0))
+        sigma = cycle_type_representative(mu)
+        fixed = mu.count(1)
+        trace = Fraction(0)
+        if fixed:
+            for _, degree in model.generators:
+                trace += fixed * genset.trace(sigma, degree + k)
+        if omega_degree is not None:
+            trace -= genset.trace(sigma, omega_degree)
         values[mu] = trace
+    dim = homology(model, n, k, mode).dimension
+    if values[(1,) * n] != dim:
+        raise reptheory.NotARepresentation(
+            f"slice traces give dimension {values[(1,) * n]}, homology has "
+            f"{dim} at (n={n}, k={k}, {mode})")
+    return values
+
+
+def character(model: ModelSpec, n: int, k: int,
+              mode: Mode = Mode.POINTED) -> reptheory.ClassFunction:
+    """Trace of the homology action at one representative per cycle type:
+    from traces on Lie slices when the differential is zero, otherwise
+    the diagonal of the action matrix on homology."""
+    values = _trace_character(model, n, k, mode)
+    if values is None:
+        values = {}
+        for mu in reptheory.partitions(n):
+            act = sigma_action(cycle_type_representative(mu), model, k, mode)
+            values[mu] = sum((act.entry(i, i) for i in range(act.rows)),
+                             Fraction(0))
     return reptheory.ClassFunction(n, values)

@@ -243,6 +243,7 @@ class GeneratorSet:
         self._slices: dict[int, _Slice] = {}
         self._expansion_cache: dict[LieBasisElement, TensorVector] = {}
         self._d_cache: dict[LieBasisElement, dict] = {}  # d, Lyndon coords
+        self._trace_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
         self._diff_tensor = self._build_differential()
 
     # -- identity -----------------------------------------------------------
@@ -375,6 +376,33 @@ class GeneratorSet:
         u, v = _standard_factorization(word)
         return tensor_commutator(self._expand_word(u), self._expand_word(v),
                                  self.word_degree(u), self.word_degree(v))
+
+    def trace(self, sigma: tuple[int, ...], degree: int) -> Fraction:
+        """Memoized trace of the summand permutation sigma on the Lie slice
+        of one degree, in the super-Lyndon basis.  Each element's expansion
+        only has words with the letter multiset of the element, so an
+        element whose multiset sigma moves has diagonal entry 0."""
+        key = (sigma, degree)
+        out = self._trace_cache.get(key)
+        if out is None:
+            out = Fraction(0)
+            m = self.base_count
+            mapping = dict(enumerate(sigma))
+            sl = self.slice(degree)
+            for i, elem in enumerate(sl.elements):
+                moved = [sigma[g // m] * m + g % m for g in elem.word]
+                if sorted(moved) != sorted(elem.word):
+                    continue
+                vec = relabel_tensor(self, self, mapping,
+                                     self.expansion(elem))
+                coords = sl.solver.express(vec)
+                if coords is None:
+                    raise BasisExpressionFailure(
+                        f"relabeled basis element {elem} is outside the "
+                        f"Lyndon span")
+                out += coords.get(i, 0)
+            self._trace_cache[key] = out
+        return out
 
     # -- conversions --------------------------------------------------------
 
@@ -653,39 +681,38 @@ def _degree_counts(genset: GeneratorSet) -> dict[int, int]:
     return counts
 
 
-def _lyndon_counts(genset: GeneratorSet, up_to: int) -> list[int]:
-    """Number of Lyndon words in each total degree <= up_to.
+def _lyndon_counts(genset: GeneratorSet, up_to: int) -> dict[int, int]:
+    """Number of Lyndon words in each total degree <= up_to, keyed by the
+    degrees reachable from the alphabet (every other degree has none).
 
     Uses the unique-factorization identity: if h(t) is the generating
     function of the alphabet by degree, then sum_m l_m * sum_e t^{me}/e
-    equals -log(1 - h(t)).
+    equals -log(1 - h(t)).  The series are kept on reachable degrees only,
+    so the cost does not grow with the size of a generator's degree.
     """
-    h = [0] * (up_to + 1)
-    for d, c in _degree_counts(genset).items():
-        if d <= up_to:
-            h[d] += c
+    h = {d: c for d, c in _degree_counts(genset).items() if 1 <= d <= up_to}
     # B[N] = N * [t^N](-log(1-h)) = sum_{m | N} m * l_m
-    log_coeffs = [Fraction(0)] * (up_to + 1)
-    power = [0] * (up_to + 1)
-    power[0] = 1
-    for r in range(1, up_to + 1):
-        nxt = [0] * (up_to + 1)
-        for i in range(up_to + 1):
-            if power[i]:
-                for j in range(1, up_to + 1 - i):
-                    if h[j]:
-                        nxt[i + j] += power[i] * h[j]
+    log_coeffs: dict[int, Fraction] = {}
+    power = {0: 1}
+    r = 0
+    while power:
+        r += 1
+        nxt: dict[int, int] = {}
+        for i, a in power.items():
+            for j, b in h.items():
+                if i + j <= up_to:
+                    nxt[i + j] = nxt.get(i + j, 0) + a * b
         power = nxt
-        for i in range(up_to + 1):
-            log_coeffs[i] += Fraction(power[i], r)
-    counts = [0] * (up_to + 1)
-    for m in range(1, up_to + 1):
+        for i, a in power.items():
+            log_coeffs[i] = log_coeffs.get(i, 0) + Fraction(a, r)
+    counts: dict[int, int] = {}
+    for m in log_coeffs:
         total = 0
-        for d in range(1, m + 1):
+        for d, c in log_coeffs.items():
             if m % d == 0:
-                mu = _mobius(d)
+                mu = _mobius(m // d)
                 if mu:
-                    b = m // d * log_coeffs[m // d]
+                    b = d * c
                     assert b.denominator == 1
                     total += mu * int(b)
         assert total % m == 0
@@ -699,51 +726,10 @@ def lie_dim(genset: GeneratorSet, degree: int) -> int:
     if degree < 1:
         return 0
     counts = _lyndon_counts(genset, degree)
-    dim = counts[degree]
+    dim = counts.get(degree, 0)
     if degree % 2 == 0 and (degree // 2) % 2 == 1:
-        dim += counts[degree // 2]
+        dim += counts.get(degree // 2, 0)
     return dim
-
-
-def lie_dims_from_operad_series(genset: GeneratorSet,
-                                up_to: int) -> list[int]:
-    """Independent dimension formula through the arity-indexed description:
-    the degree series of the arity-k layer is (1/k) sum_{d|k} mu(d) h_d^{k/d},
-    where h_d twists the alphabet series by the sign of a d-cycle acting on
-    d-fold tensors."""
-    counts = _degree_counts(genset)
-    min_deg = min(counts) if counts else 1
-    total = [Fraction(0)] * (up_to + 1)
-    max_k = up_to // min_deg if counts else 0
-    for k in range(1, max_k + 1):
-        for d in range(1, k + 1):
-            if k % d:
-                continue
-            mu = _mobius(d)
-            if not mu:
-                continue
-            hd = [Fraction(0)] * (up_to + 1)
-            for i, c in counts.items():
-                if d * i <= up_to:
-                    sign = -1 if ((d - 1) * i) % 2 else 1
-                    hd[d * i] += sign * c
-            power = [Fraction(0)] * (up_to + 1)
-            power[0] = Fraction(1)
-            for _ in range(k // d):
-                nxt = [Fraction(0)] * (up_to + 1)
-                for i in range(up_to + 1):
-                    if power[i]:
-                        for j in range(up_to + 1 - i):
-                            if hd[j]:
-                                nxt[i + j] += power[i] * hd[j]
-                power = nxt
-            for i in range(up_to + 1):
-                total[i] += Fraction(mu, k) * power[i]
-    out = []
-    for i, v in enumerate(total):
-        assert v.denominator == 1, f"non-integral dimension at degree {i}"
-        out.append(int(v))
-    return out
 
 
 def tensor_hilbert_series(genset: GeneratorSet, up_to: int) -> list[int]:
@@ -774,9 +760,9 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
     counts = _lyndon_counts(genset, up_to)
     dims = []
     for m in range(up_to + 1):
-        d = counts[m] if m >= 1 else 0
+        d = counts.get(m, 0)
         if m >= 1 and m % 2 == 0 and (m // 2) % 2 == 1:
-            d += counts[m // 2]
+            d += counts.get(m // 2, 0)
         dims.append(d)
     lhs = [0] * (up_to + 1)
     lhs[0] = 1

@@ -100,13 +100,13 @@ def _reduced_echelon(
     """Canonical RREF: rows with pivot entry 1, sorted by pivot key."""
     echelon = _echelon(rows)
     pivots = sorted(echelon)
-    # Back-substitute in descending pivot order so each used row is final.
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
+    # Back-substitute in descending pivot order so each used row is final:
+    # it is zero at every other pivot, so eliminating one pivot entry adds
+    # no other, and only the pivots the row holds are visited.
+    for p in reversed(pivots):
         row = echelon[p]
-        for q in pivots[i + 1:]:
-            if q in row:
-                row = _eliminate(row, echelon[q], q)
+        for q in [q for q in row if q != p and q in echelon]:
+            row = _eliminate(row, echelon[q], q)
         echelon[p] = row
     out = []
     for p in pivots:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +182,21 @@ def test_cost_guard_counts_only_built_slices():
                            n_values=(2,), max_dim=79))
     assert code == EXIT_RESOURCE_CAP
     assert "predicted dimension 80" in report["error"]
+
+
+def test_cost_guard_ignores_unreachable_degrees(tmp_path):
+    # a generator of degree 10^6 reaches no degree between 10^6 and 2*10^6,
+    # so the counts cost no more than for a small degree
+    path = tmp_path / "huge.model"
+    path.write_text("name: huge\ngenerators:\n  x: 1000000\n")
+    model = load_model(str(path))
+    start = time.process_time()
+    assert _predicted_cost(model, 2, 1, Mode.POINTED) == 0
+    report, code = run(job(model_path=str(path), k_values=(1,),
+                           n_values=(1, 2)))
+    assert time.process_time() - start < 0.5
+    assert code == EXIT_OK
+    assert [c["dim"] for c in report["cells"]] == [0, 0]
 
 
 def test_cache_dir_that_is_a_file_is_rejected_first(tmp_path, monkeypatch):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
+from derlie import fistab
+from derlie.cli import EXIT_CHECK_FAILURE, JobSpec, run
 from derlie.dermodel import Mode, derivation_basis, differential_matrix, homology
 from derlie.fistab import (
     Injection,
@@ -297,3 +299,90 @@ def test_regular_representation_sanity(sphere2):
     from derlie.reptheory import ClassFunction
     dec = decompose(ClassFunction(2, traces))
     assert all(m >= 0 for m in dec.multiplicities.values())
+
+
+# ---- character from traces on Lie slices ---------------------------------------
+
+ZERO_DIFFERENTIAL_CELLS = [
+    ("sphere2", Mode.POINTED, 5), ("sphere3", Mode.POINTED, 5),
+    ("sphere4", Mode.POINTED, 5), ("s2xs2", Mode.POINTED, 4),
+    ("cp2", Mode.POINTED, 4), ("s2xs2", Mode.BOUNDARY, 4),
+    ("s3xs3", Mode.BOUNDARY, 4), ("cp2", Mode.BOUNDARY, 4),
+]
+
+
+def matrix_character(model, n, k, mode):
+    """Reference: the diagonal of the action matrix on homology."""
+    out = {}
+    for mu in partitions(n):
+        act = sigma_action(cycle_type_representative(mu), model, k, mode)
+        out[mu] = sum((act.entry(i, i) for i in range(act.rows)), F(0))
+    return out
+
+
+def spy_on_actions(monkeypatch):
+    calls = []
+    for name in ("sigma_action", "homology_map"):
+        original = getattr(fistab, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fistab, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,mode,n_max", ZERO_DIFFERENTIAL_CELLS)
+def test_trace_character_matches_action_diagonal(request, monkeypatch, name,
+                                                 mode, n_max):
+    model = request.getfixturevalue(name)
+    calls = spy_on_actions(monkeypatch)
+    traced = {(n, k): character(model, n, k, mode).values
+              for n in range(1, n_max + 1) for k in (1, 2)}
+    assert calls == []
+    for (n, k), values in traced.items():
+        assert values == matrix_character(model, n, k, mode), (n, k)
+
+
+@pytest.mark.parametrize("name,mode", [("product_model", Mode.POINTED),
+                                       ("cp3", Mode.POINTED),
+                                       ("cp3", Mode.BOUNDARY)])
+def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
+                                                     name, mode):
+    model = request.getfixturevalue(name)
+    sigma_action.cache_clear()  # a memo hit would not reach homology_map
+    calls = spy_on_actions(monkeypatch)
+    chi = character(model, 2, 1, mode)
+    assert "sigma_action" in calls and "homology_map" in calls
+    assert chi((1, 1)) == homology(model, 2, 1, mode).dimension
+
+
+def test_constraint_not_onto_falls_back_to_the_action_matrix(s2xs2,
+                                                             monkeypatch):
+    traced = [character(s2xs2, n, 1, Mode.BOUNDARY).values for n in (2, 3)]
+    calls = spy_on_actions(monkeypatch)
+    monkeypatch.setattr(fistab, "_omega_constraint_onto", lambda *a: False)
+    fallback = [character(s2xs2, n, 1, Mode.BOUNDARY).values for n in (2, 3)]
+    assert "sigma_action" in calls
+    assert fallback == traced
+
+
+def test_corrupted_trace_is_a_check_failure(monkeypatch):
+    from derlie.gradedlie import GeneratorSet
+    original = GeneratorSet.trace
+
+    def corrupted(self, sigma, degree):
+        # +2 on L_2 at n = 3 adds 3 * 2 = 3! at the identity only: one more
+        # copy of the regular representation, so decompose still succeeds
+        value = original(self, sigma, degree)
+        return value + 2 if sigma == tuple(range(len(sigma))) else value
+
+    monkeypatch.setattr(GeneratorSet, "trace", corrupted)
+    report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
+                               k_values=(1,), n_values=(3,),
+                               decompose=True))
+    assert code == EXIT_CHECK_FAILURE
+    assert report["status"] == "check-failure"
+    assert "slice traces give dimension 24, homology has 18" in \
+        report["error"]

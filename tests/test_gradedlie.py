@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from derlie.gradedlie import (
@@ -17,7 +18,6 @@ from derlie.gradedlie import (
     dual_basis,
     free_product_generators,
     lie_dim,
-    lie_dims_from_operad_series,
     lyndon_basis,
     omega,
     pbw_series_check,
@@ -69,13 +69,68 @@ def test_lyndon_dims_match_brute_force_on_mixed_degrees(product_model):
         assert len(lyndon_basis(g, m)) == ctx.lie_dim(m), m
 
 
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def lie_dims_from_operad_series(degrees, up_to):
+    """Independent dimension formula through the arity-indexed description:
+    the degree series of the arity-k layer is (1/k) sum_{d|k} mu(d) h_d^{k/d},
+    where h_d twists the alphabet series by the sign of a d-cycle acting on
+    d-fold tensors."""
+    counts = {}
+    for d in degrees:
+        counts[d] = counts.get(d, 0) + 1
+    total = [F(0)] * (up_to + 1)
+    for k in range(1, up_to // min(degrees) + 1):
+        for d in range(1, k + 1):
+            mu = _mobius(d) if k % d == 0 else 0
+            if not mu:
+                continue
+            hd = [F(0)] * (up_to + 1)
+            for i, c in counts.items():
+                if d * i <= up_to:
+                    hd[d * i] += (-1 if ((d - 1) * i) % 2 else 1) * c
+            power = [F(0)] * (up_to + 1)
+            power[0] = F(1)
+            for _ in range(k // d):
+                nxt = [F(0)] * (up_to + 1)
+                for i in range(up_to + 1):
+                    for j in range(up_to + 1 - i):
+                        nxt[i + j] += power[i] * hd[j]
+                power = nxt
+            for i in range(up_to + 1):
+                total[i] += F(mu, k) * power[i]
+    assert all(v.denominator == 1 for v in total)
+    return [int(v) for v in total]
+
+
 def test_lie_dim_matches_operad_series(sphere2, s2xs2, product_model):
     for model, n, up_to in [(sphere2, 3, 6), (s2xs2, 2, 6),
                             (product_model, 2, 8)]:
         g = free_product_generators(model, n)
-        series = lie_dims_from_operad_series(g, up_to)
+        series = lie_dims_from_operad_series(g.degrees, up_to)
         for m in range(1, up_to + 1):
             assert lie_dim(g, m) == series[m], (model.name, n, m)
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_lie_dim_matches_operad_series_on_random_alphabets(degrees, up_to):
+    model = ModelSpec("alphabet", [(f"g{i}", d)
+                                   for i, d in enumerate(degrees)])
+    g = GeneratorSet(model, 1)
+    series = lie_dims_from_operad_series(degrees, up_to)
+    assert [lie_dim(g, m) for m in range(1, up_to + 1)] == series[1:]
 
 
 # ---- bracket -----------------------------------------------------------------

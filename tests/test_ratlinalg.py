@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derlie import ratlinalg
 from derlie.ratlinalg import (
     ContainmentViolation,
     SparseMatrix,
@@ -126,6 +127,33 @@ def test_coordinates_match_the_pivot_scan(rows, probe):
     vectors.append({r: F(x) for r, x in enumerate(probe[:m.rows]) if x})
     for v in vectors:
         assert coordinates_in_span(b, v) == _pivot_scan_coordinates(b, v)
+
+
+def _pivot_scan_reduced_echelon(rows):
+    """Reference: back-substitution that scans every later pivot."""
+    echelon = ratlinalg._echelon(rows)
+    pivots = sorted(echelon)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        row = echelon[p]
+        for q in pivots[i + 1:]:
+            if q in row:
+                row = ratlinalg._eliminate(row, echelon[q], q)
+        echelon[p] = row
+    out = []
+    for p in pivots:
+        row = echelon[p]
+        out.append({c: F(v) / F(row[p]) for c, v in row.items()})
+    return out, pivots
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+                min_size=1, max_size=8))
+@settings(max_examples=120, deadline=None)
+def test_reduced_echelon_matches_the_pivot_scan(rows):
+    sparse = [{c: F(x) for c, x in enumerate(row) if x} for row in rows]
+    assert ratlinalg._reduced_echelon(sparse) == \
+        _pivot_scan_reduced_echelon(sparse)
 
 
 def test_coordinates_dimension_mismatch():

@@ -1,13 +1,23 @@
 """Stability and generation reports, pinned against independently computed
 decomposition rows (fixed-point counting for the degree-1 slice, dense
-tensor traces for degree 2, both fed through the character inner product)."""
+tensor traces for degree 2, the closed form of ``lie_character`` beyond,
+all fed through the character inner product)."""
 
 from fractions import Fraction
 
 import pytest
 
+import bruteforce
+import lie_character
+from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode
-from derlie.reptheory import generation_check, stability_report
+from derlie.fistab import character
+from derlie.reptheory import (
+    ClassFunction,
+    decompose,
+    generation_check,
+    stability_report,
+)
 
 F = Fraction
 
@@ -102,3 +112,43 @@ def test_zero_homology_stabilizes_at_minimum(sphere3):
 def test_report_requires_nonempty_range(sphere2):
     with pytest.raises(ValueError):
         stability_report(sphere2, Mode.POINTED, 1, ())
+
+
+@pytest.mark.parametrize("degrees,n,up_to", [
+    ((1,), 3, 5), ((1, 1), 2, 4), ((2,), 3, 6), ((1, 2), 2, 5),
+    ((2, 2, 5), 1, 8), ((3,), 2, 8)])
+def test_closed_form_lie_traces_at_identity_match_bruteforce(degrees, n,
+                                                             up_to):
+    ctx = bruteforce.TensorContext(list(degrees) * n, up_to)
+    for m in range(1, up_to + 1):
+        assert lie_character.lie_trace(degrees, (1,) * n, m) == \
+            ctx.lie_dim(m), m
+
+
+@pytest.mark.parametrize("name,mode,n_max", [
+    ("sphere2", Mode.POINTED, 8), ("sphere3", Mode.POINTED, 8),
+    ("sphere4", Mode.POINTED, 8), ("s2xs2", Mode.POINTED, 5),
+    ("cp2", Mode.POINTED, 6), ("s2xs2", Mode.BOUNDARY, 5),
+    ("s3xs3", Mode.BOUNDARY, 5), ("cp2", Mode.BOUNDARY, 6)])
+def test_engine_characters_match_closed_form(request, name, mode, n_max):
+    model = request.getfixturevalue(name)
+    degrees = [d for _, d in model.generators]
+    for k in (1, 2):
+        omega_degree = model.ambient_dim - 2 + k \
+            if mode is Mode.BOUNDARY else None
+        for n in range(1, n_max + 1):
+            assert character(model, n, k, mode).values == \
+                lie_character.character(degrees, n, k, omega_degree), (n, k)
+
+
+def test_sphere_k3_stabilizes_at_nine():
+    report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
+                               k_values=(3,), n_values=tuple(range(1, 11)),
+                               decompose=True, max_dim=25000))
+    assert code == EXIT_OK
+    for cell in report["cells"]:
+        n = cell["n"]
+        oracle = ClassFunction(n, lie_character.character((1,), n, 3))
+        rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
+        assert rows == decompose(oracle).padded(), n
+    assert report["stability"][0]["stabilized_at"] == 9
