@@ -25,6 +25,7 @@ are emitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -397,8 +398,13 @@ def _cell_key(model_sha: str, mode: Mode, n: int, k: int,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _checksum(cell: dict) -> str:
+    return hashlib.sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest()
+
+
 def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
-    """The cached cell, or None when the entry is missing or unreadable."""
+    """The cached cell, or None when the entry is missing, unreadable, or
+    stored under another key or checksum than its own."""
     if cache_dir is None:
         return None
     path = os.path.join(cache_dir, key + ".json")
@@ -407,18 +413,27 @@ def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
             value = json.load(fh)
     except (OSError, ValueError):
         return None
-    return value if isinstance(value, dict) else None
+    if (not isinstance(value, dict) or value.pop("key", None) != key
+            or value.pop("sha256", None) != _checksum(value)):
+        return None
+    return value
 
 
-def _cache_write(cache_dir: Optional[str], key: str, value: dict) -> None:
-    """Write (or repair) one entry atomically."""
+def _cache_write(cache_dir: Optional[str], key: str, cell: dict) -> None:
+    """Write (or repair) one entry atomically, with its key and checksum;
+    an entry that cannot be written is left uncached."""
     if cache_dir is None:
         return
     path = os.path.join(cache_dir, key + ".json")
     tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(value, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({**cell, "key": key, "sha256": _checksum(cell)}, fh,
+                      sort_keys=True)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 # ---- cell computation ------------------------------------------------------------

@@ -284,14 +284,14 @@ class HomologySlice:
     dimension: int
     representatives: list[Vector]  # local coordinates in the degree-k slice
     _quotient: ratlinalg.Quotient
-    _delta: SparseMatrix
+    _delta: Optional[SparseMatrix]  # None for a zero differential
 
     def reduce(self, local_vec: Mapping[int, Fraction]) -> Vector:
         """Class coordinates of a cycle given in slice coordinates."""
         return self._quotient.reduce(local_vec)
 
     def is_cycle(self, local_vec: Mapping[int, Fraction]) -> bool:
-        return not self._delta.apply(local_vec)
+        return self._delta is None or not self._delta.apply(local_vec)
 
 
 @cache
@@ -300,16 +300,17 @@ def homology(model: ModelSpec, n: int, k: int,
     """H_k of the positively truncated complex, k >= 1."""
     if k < 1:
         raise ValueError("homology is reported for degrees k >= 1")
-    delta_k = differential_matrix(model, n, k, mode)
     sl = derivation_basis(model, n, k, mode)
+    delta_k = None
     if sl.genset.has_zero_differential:
         # delta = 0: every vector is a cycle and none is a boundary, so no
-        # elimination runs and no degree-(k+1) slice is built
+        # elimination runs and no degree-(k-1) or (k+1) slice is built
         cycles = SubspaceBasis(sl.dim, [{i: Fraction(1)}
                                         for i in range(sl.dim)],
                                list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])
     else:
+        delta_k = differential_matrix(model, n, k, mode)
         cycles = ratlinalg.kernel_basis(delta_k)
         boundaries = ratlinalg.image_basis(
             differential_matrix(model, n, k + 1, mode))

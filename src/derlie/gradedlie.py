@@ -5,7 +5,8 @@ The basis in each total degree is the super-Lyndon basis: standard
 bracketings of Lyndon words, plus self-brackets [w,w] of Lyndon words of odd
 total degree.  All bracket arithmetic happens in tensor coordinates, where
 the only sign rule is the Koszul commutator [u,v] = uv - (-1)^{|u||v|}vu;
-re-expression in the Lyndon basis is exact sparse linear algebra.  Lyndon
+re-expression in the Lyndon basis is back-substitution on leading words,
+since each basis expansion leads with its own word (or ww for [w,w]).  Lyndon
 expansions carry int coefficients (standard bracketings are integral);
 ``LieElement`` coefficients are Fractions.
 
@@ -209,8 +210,9 @@ class LieElement:
 
 
 class _Slice:
-    """Super-Lyndon basis of one total degree, with tensor expansions and a
-    solver for re-expressing tensor vectors in this basis."""
+    """Super-Lyndon basis of one total degree, with tensor expansions keyed
+    by leading word, so that a tensor vector is re-expressed in this basis
+    by back-substitution."""
 
     def __init__(self, elements: list[LieBasisElement],
                  expansions: list[TensorVector]):
@@ -221,7 +223,8 @@ class _Slice:
         for i, exp in enumerate(expansions):
             if not self.solver.add(exp):
                 raise BasisExpressionFailure(
-                    f"dependent basis expansion at position {i}")
+                    f"basis expansion at position {i} is zero or shares its "
+                    f"leading word with an earlier one")
 
     @property
     def dim(self) -> int:

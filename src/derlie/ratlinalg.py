@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-Scalar = Fraction
 Vector = dict[int, Fraction]  # sparse: missing key means zero
 
 
@@ -79,18 +78,25 @@ def _eliminate(row: dict, pivot_row: dict, pivot: Hashable) -> dict:
     return _strip_content(out) if out else out
 
 
+def extend_echelon(echelon: dict, row: Mapping[Hashable, Fraction]) -> bool:
+    """Reduce row against {pivot key: integer row} and store the rest under
+    its least key; False when row was already in the span."""
+    r = _to_int_row(row)
+    while r:
+        p = min(r)
+        e = echelon.get(p)
+        if e is None:
+            echelon[p] = r
+            return True
+        r = _eliminate(r, e, p)
+    return False
+
+
 def _echelon(rows: Iterable[Mapping[Hashable, Fraction]]) -> dict:
     """Forward elimination; returns {pivot key: integer row}."""
     echelon: dict = {}
     for row in rows:
-        r = _to_int_row(row)
-        while r:
-            p = min(r)
-            e = echelon.get(p)
-            if e is None:
-                echelon[p] = r
-                break
-            r = _eliminate(r, e, p)
+        extend_echelon(echelon, row)
     return echelon
 
 
@@ -155,14 +161,6 @@ class SparseMatrix:
     def entry(self, r: int, c: int) -> Fraction | int:
         """The stored entry, or the int 0 when none is stored."""
         return self._rows[r].get(c, 0)
-
-    @property
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(r, c): v for r, row in enumerate(self._rows)
-                for c, v in row.items()}
-
-    def row(self, r: int) -> Vector:
-        return dict(self._rows[r])
 
     def column(self, c: int) -> Vector:
         return {r: row[c] for r, row in enumerate(self._rows) if c in row}
@@ -232,9 +230,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def contains(self, v: Mapping[int, Fraction]) -> bool:
-        return coordinates_in_span(self, v) is not None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubspaceBasis)
@@ -350,51 +345,37 @@ def quotient_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> Quotient
 
 
 class SpanSolver:
-    """Incremental span of vectors over sortable keys, with exact coordinates
-    in terms of the originally added vectors.
-
-    Rows are kept in echelon form (each stored row has a distinct minimal
-    key).  Adding a dependent vector is rejected; ``express`` returns the
-    coordinates of a vector in the added basis, or None when outside the span.
+    """Vectors with distinct least keys, stored as given, so expressing a
+    vector over them is back-substitution, not elimination.  The Lyndon
+    expansions of one degree are such vectors (Chen-Fox-Lyndon): each one's
+    least word is its own word w with coefficient 1, or ww with 2 for [w,w].
     """
 
     def __init__(self):
-        self._rows: dict = {}  # pivot key -> (vector, combo)
-        self.size = 0
-
-    def _reduce(self, vec: Mapping) -> tuple[dict, dict]:
-        v = {k: Fraction(x) for k, x in vec.items() if x != 0}
-        combo: dict[int, Fraction] = {}
-        while v:
-            p = min(v)
-            row = self._rows.get(p)
-            if row is None:
-                break
-            rvec, rcombo = row
-            c = v[p] / rvec[p]
-            add_scaled(v, -c, rvec)
-            add_scaled(combo, c, rcombo)
-        return v, combo
+        self._rows: dict = {}  # least key -> (insertion index, vector)
 
     def add(self, vec: Mapping) -> bool:
-        """Add a vector to the span; False when it was already dependent."""
-        residual, combo = self._reduce(vec)
-        if not residual:
+        """Store vec under its least key; False when vec is zero or another
+        stored vector already has that least key."""
+        if not vec:
             return False
-        idx = self.size
-        combo = {i: -x for i, x in combo.items()}
-        combo[idx] = Fraction(1)
-        self._rows[min(residual)] = (residual, combo)
-        self.size += 1
+        p = min(vec)
+        if p in self._rows:
+            return False
+        self._rows[p] = (len(self._rows), vec)
         return True
 
-    def express(self, vec: Mapping) -> Optional[dict[int, Fraction]]:
-        """Coordinates of vec over the added vectors, or None."""
-        residual, combo = self._reduce(vec)
-        if residual:
-            return None
-        return combo
-
-    def contains(self, vec: Mapping) -> bool:
-        residual, _ = self._reduce(vec)
-        return not residual
+    def express(self, vec: Mapping) -> Optional[dict]:
+        """Coordinates of vec over the added vectors, or None; each step
+        raises the least key, so each row is used at most once."""
+        v = dict(vec)
+        coords: dict = {}
+        while v:
+            p = min(v)
+            if p not in self._rows:
+                return None
+            i, row = self._rows[p]
+            c = v[p] if row[p] == 1 else Fraction(v[p]) / row[p]
+            add_scaled(v, -c, row)
+            coords[i] = c
+        return coords

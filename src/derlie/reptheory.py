@@ -278,7 +278,7 @@ def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
     """
     from . import fistab  # imported here to avoid an import cycle
     from .dermodel import homology
-    from .ratlinalg import SpanSolver
+    from .ratlinalg import extend_echelon
 
     ns = tuple(sorted(n_range))
     out: dict[int, bool] = {}
@@ -294,18 +294,13 @@ def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
         image = fistab.homology_map(inc, model, k, mode)
         generators = [fistab.sigma_action(sigma, model, k, mode)
                       for sigma in _symmetric_group_generators(m)]
-        solver = SpanSolver()
-        queue = []
-        for col in image.columns():
-            if solver.add(col):
-                queue.append(col)
-        while queue and solver.size < hm.dimension:
+        span: dict = {}
+        queue = [v for v in image.columns() if extend_echelon(span, v)]
+        while queue and len(span) < hm.dimension:
             v = queue.pop()
-            for gen in generators:
-                w = gen.apply(v)
-                if solver.add(w):
-                    queue.append(w)
-        out[m] = solver.size == hm.dimension
+            queue += [w for w in (g.apply(v) for g in generators)
+                      if extend_echelon(span, w)]
+        out[m] = len(span) == hm.dimension
     return out
 
 

@@ -380,7 +380,7 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("damage", ["truncate", "other-cell", "drop-dim",
-                                    "drop-padded"])
+                                    "drop-padded", "tamper-dim"])
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     cache = tmp_path / "cache"
     cold = tmp_path / "cold.json"
@@ -396,6 +396,10 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
         victim.write_bytes(original[:10])
     elif damage == "other-cell":
         victim.write_bytes(other.read_bytes())
+    elif damage == "tamper-dim":  # the stored checksum is left as it was
+        entry = json.loads(original)
+        entry["dim"] += 1
+        victim.write_text(json.dumps(entry), encoding="utf-8")
     else:
         entry = json.loads(original)
         del entry[damage.removeprefix("drop-")]
@@ -404,6 +408,24 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert rerun.read_bytes() == cold.read_bytes()
     assert victim.read_bytes() == original
     assert sorted(cache.iterdir()) == entries
+
+
+def test_unwritable_cache_entry_is_skipped(tmp_path):
+    cache = tmp_path / "cache"
+    plain = tmp_path / "plain.json"
+    rerun = tmp_path / "rerun.json"
+    args = ["compute", "--model", "sphere2", "--k", "1", "--n", "1..2",
+            "--format", "json"]
+    assert main(args + ["--output", str(plain)]) == EXIT_OK
+    cached = args + ["--cache-dir", str(cache)]
+    assert main(cached) == EXIT_OK
+    victim = sorted(cache.iterdir())[0]
+    victim.unlink()
+    victim.mkdir()  # the entry can be neither read nor replaced
+    assert main(cached + ["--output", str(rerun)]) == EXIT_OK
+    assert rerun.read_bytes() == plain.read_bytes()
+    assert victim.is_dir()
+    assert not [p for p in cache.iterdir() if ".tmp" in p.name]
 
 
 def test_stability_entry_built_from_cells():

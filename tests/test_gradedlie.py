@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
+from derlie.cli import bundled_model_names, load_model
 from derlie.gradedlie import (
     GeneratorSet,
     InvarianceFailure,
@@ -131,6 +132,28 @@ def test_lie_dim_matches_operad_series_on_random_alphabets(degrees, up_to):
     g = GeneratorSet(model, 1)
     series = lie_dims_from_operad_series(degrees, up_to)
     assert [lie_dim(g, m) for m in range(1, up_to + 1)] == series[1:]
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_lyndon_expansions_lead_with_their_own_word(name):
+    # Chen-Fox-Lyndon: the least word of a standard bracketing P_w is w with
+    # coefficient 1, and of a square [w,w] it is ww with coefficient 2, so
+    # re-expression in the Lyndon basis is back-substitution
+    model = load_model(name)
+    seen = set()
+    for n, top in [(1, 7), (2, 7), (3, 5)]:
+        g = free_product_generators(model, n)
+        for degree in range(1, top + 1):
+            for e in g.slice(degree).elements:
+                exp = g.expansion(e)
+                lead = min(exp)
+                expected = (e.word * 2, 2) if e.square else (e.word, 1)
+                assert (lead, exp[lead]) == expected, (n, e)
+                seen.add((degree % 2, e.square))
+    # an odd letter gives odd degrees, and squares once [x,x] fits
+    odd = [d for _, d in model.generators if d % 2]
+    assert any(p for p, _ in seen) == bool(odd)
+    assert any(sq for _, sq in seen) == any(2 * d <= 7 for d in odd)
 
 
 # ---- bracket -----------------------------------------------------------------

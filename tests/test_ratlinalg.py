@@ -337,6 +337,53 @@ def test_span_solver_on_word_keys():
     assert got == {0: F(5), 1: F(1, 2)}
 
 
+@st.composite
+def triangular_rows(draw):
+    """Integer rows with distinct least keys, inserted in random order."""
+    width = draw(st.integers(1, 7))
+    leads = draw(st.lists(st.integers(0, width - 1), min_size=1,
+                          max_size=width, unique=True))
+    rows = []
+    for p in leads:
+        row = {p: draw(st.sampled_from([1, 2, -3]))}
+        for c in range(p + 1, width):
+            x = draw(st.integers(-3, 3))
+            if x:
+                row[c] = x
+        rows.append(row)
+    return width, rows
+
+
+@given(triangular_rows(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_solver_back_substitutes_triangular_rows(basis, data):
+    width, rows = basis
+    s = SpanSolver()
+    assert all(s.add(row) for row in rows)
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=len(rows), max_size=len(rows)))
+    combo: dict = {}
+    for c, row in zip(coeffs, rows):
+        add_scaled(combo, c, row)
+    assert s.express(combo) == {i: c for i, c in enumerate(coeffs) if c}
+    v = data.draw(st.lists(st.integers(-2, 2), min_size=width,
+                           max_size=width))
+    v = {c: x for c, x in enumerate(v) if x}
+    inside = rank(SparseMatrix.from_rows(rows + [v], width)) == len(rows)
+    coords = s.express(v)
+    assert (coords is not None) == inside
+    if inside:
+        back: dict = {}
+        for i, c in coords.items():
+            add_scaled(back, c, rows[i])
+        assert back == v
+    # an independent vector whose least key is taken, and zero, are refused
+    taken = min(data.draw(st.sampled_from(rows)))
+    assert not s.add({taken: 1, width: 1})
+    assert not s.add({})
+
+
 def test_matrix_compose_and_apply():
     a = mat(2, 3, {(0, 0): 1, (1, 2): 2})
     b = mat(3, 2, {(0, 1): 1, (2, 0): 3})

@@ -4,14 +4,16 @@ tensor traces for degree 2, the closed form of ``lie_character`` beyond,
 all fed through the character inner product)."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import bruteforce
 import lie_character
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
-from derlie.dermodel import Mode
-from derlie.fistab import character
+from derlie.dermodel import Mode, homology
+from derlie.fistab import Injection, character, homology_map, sigma_action
+from derlie.ratlinalg import SparseMatrix, rank
 from derlie.reptheory import (
     ClassFunction,
     decompose,
@@ -90,6 +92,24 @@ def test_sphere_generation_flags(sphere2):
         1: False, 2: False, 3: False, 4: True, 5: True}
     assert generation_check(sphere2, Mode.POINTED, 2, range(1, 6)) == {
         1: False, 2: False, 3: False, 4: False, 5: True}
+
+
+@pytest.mark.parametrize("name,mode,k", [
+    ("product_model", Mode.POINTED, 1), ("product_model", Mode.POINTED, 2),
+    ("s2xs2", Mode.BOUNDARY, 1)])
+def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
+    # brute force: span sigma . image over every sigma in Sigma_m, where
+    # generation_check grows the orbit from two generators of Sigma_m
+    model = request.getfixturevalue(name)
+    expected = {1: False}
+    for m in range(2, 5):
+        dim = homology(model, m, k, mode).dimension
+        image = homology_map(Injection.standard(m - 1, m), model, k, mode)
+        orbit = [col for sigma in permutations(range(m))
+                 for col in sigma_action(sigma, model, k, mode)
+                 .compose(image).columns()]
+        expected[m] = rank(SparseMatrix.from_rows(orbit, dim)) == dim
+    assert generation_check(model, mode, k, range(1, 5)) == expected
 
 
 def test_boundary_report(s2xs2):
