@@ -360,6 +360,11 @@ class JobSpec:
             raise ValueError("workers must be at least 1")
 
 
+# No job over a longer range can finish: its n values pass --max-dim only
+# while small, and its k values run past every computable slice.
+MAX_RANGE_VALUES = 10**6
+
+
 def parse_range(text: str) -> tuple[int, ...]:
     if ".." in text:
         a, _, b = text.partition("..")
@@ -368,6 +373,9 @@ def parse_range(text: str) -> tuple[int, ...]:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
+    if hi - lo >= MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} holds more than "
+                         f"{MAX_RANGE_VALUES} values")
     return tuple(range(lo, hi + 1))
 
 
@@ -498,9 +506,15 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode) -> int:
 
 def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
     """Seeded random derivation brackets stay inside the boundary
-    subcomplex."""
-    n = min(job.n_values)
+    subcomplex, sampled at the least n whose degree-k slice is nonempty."""
     k = min(job.k_values)
+    for n in sorted(job.n_values):
+        sl = derivation_basis(model, n, k, Mode.BOUNDARY)
+        if sl.dim:
+            break
+    else:
+        return {"name": "bracket-closure", "outcome": "skipped",
+                "detail": f"degree-{k} slice empty at every n"}
     genset = free_product_generators(model, n)
     predicted = sum(lie_dim(genset, genset.degrees[g] + 2 * k)
                     for g in range(genset.count))
@@ -508,7 +522,6 @@ def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
         return {"name": "bracket-closure", "outcome": "skipped",
                 "detail": "target slice above max-dim"}
     rng = random.Random(job.seed)
-    sl = derivation_basis(model, n, k, Mode.BOUNDARY)
     target = derivation_basis(model, n, 2 * k, Mode.BOUNDARY)
     w = omega(model, n)
     samples = min(5, sl.dim * sl.dim)

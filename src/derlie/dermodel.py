@@ -114,7 +114,7 @@ def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
     """[a,b] = a o b - (-1)^{|a||b|} b o a, again a derivation."""
     genset = a.genset
     k = a.degree + b.degree
-    sign = Fraction(-1) if (a.degree * b.degree) % 2 else Fraction(1)
+    sign = -1 if (a.degree * b.degree) % 2 else 1
     values = {}
     for gid in range(genset.count):
         val = apply_derivation(a, b.value(gid)) - \
@@ -182,7 +182,7 @@ class DerSlice:
         return out
 
     def basis_derivation(self, i: int) -> Derivation:
-        return self.pointed_to_derivation(self.local_to_pointed({i: Fraction(1)}))
+        return self.pointed_to_derivation(self.local_to_pointed({i: 1}))
 
     def __repr__(self) -> str:
         return (f"DerSlice({self.model.name}, n={self.n}, k={self.k}, "
@@ -215,8 +215,8 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
 
     basis = None
     if mode is Mode.BOUNDARY:
-        w = omega(model, n)
-        w_tensor = genset.to_tensor(w)
+        # theta(c omega) = 0 iff theta(omega) = 0: use omega's int multiple
+        w_tensor = ratlinalg._to_int_row(genset.to_tensor(omega(model, n)))
         target_degree = model.ambient_dim - 2 + k
         target_slice = genset.slice(target_degree)
         columns: list[Vector] = []
@@ -305,8 +305,7 @@ def homology(model: ModelSpec, n: int, k: int,
     if sl.genset.has_zero_differential:
         # delta = 0: every vector is a cycle and none is a boundary, so no
         # elimination runs and no degree-(k-1) or (k+1) slice is built
-        cycles = SubspaceBasis(sl.dim, [{i: Fraction(1)}
-                                        for i in range(sl.dim)],
+        cycles = SubspaceBasis(sl.dim, [{i: 1} for i in range(sl.dim)],
                                list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])
     else:

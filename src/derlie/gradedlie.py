@@ -7,8 +7,8 @@ total degree.  All bracket arithmetic happens in tensor coordinates, where
 the only sign rule is the Koszul commutator [u,v] = uv - (-1)^{|u||v|}vu;
 re-expression in the Lyndon basis is back-substitution on leading words,
 since each basis expansion leads with its own word (or ww for [w,w]).  Lyndon
-expansions carry int coefficients (standard bracketings are integral);
-``LieElement`` coefficients are Fractions.
+expansions carry int coefficients (standard bracketings are integral), and
+every coefficient stays an int until a division is inexact.
 
 Generator order is summand-major: inside L(H^(+n)) the copy index is
 compared first, the base generator index second.  This order defines which
@@ -161,7 +161,8 @@ class LieBasisElement:
 
 
 class LieElement:
-    """Homogeneous exact-rational combination of super-Lyndon basis elements."""
+    """Homogeneous exact-rational combination of super-Lyndon basis elements;
+    coefficients are stored as given (int or Fraction), zeros dropped."""
 
     __slots__ = ("degree", "coeffs")
 
@@ -169,14 +170,13 @@ class LieElement:
                  coeffs: Mapping[LieBasisElement, Fraction] | None = None):
         self.degree = degree
         self.coeffs: dict[LieBasisElement, Fraction] = {
-            k: Fraction(v) for k, v in (coeffs or {}).items() if v != 0}
+            k: v for k, v in (coeffs or {}).items() if v}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def scale(self, c: Fraction) -> "LieElement":
-        c = Fraction(c)
-        if c == 0:
+        if not c:
             return LieElement(self.degree)
         return LieElement(self.degree,
                           {k: c * v for k, v in self.coeffs.items()})
@@ -188,10 +188,10 @@ class LieElement:
         return LieElement(self.degree if self.coeffs else other.degree, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "LieElement":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieElement) and self.coeffs == other.coeffs
@@ -428,7 +428,7 @@ class GeneratorSet:
 
     def generator_element(self, gid: int) -> LieElement:
         return LieElement(self.degrees[gid],
-                          {LieBasisElement(False, (gid,)): Fraction(1)})
+                          {LieBasisElement(False, (gid,)): 1})
 
 
 def _is_lyndon(word: Word) -> bool:
@@ -503,7 +503,7 @@ def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
             if n not in index:
                 raise KeyError(f"unknown generator symbol {n!r}")
             gid = genset.gen_id(index[n], summand)
-            return {(gid,): Fraction(1)}, genset.degrees[gid]
+            return {(gid,): 1}, genset.degrees[gid]
         lv, ld = node(n[0])
         rv, rd = node(n[1])
         return tensor_commutator(lv, rv, ld, rd), ld + rd
@@ -516,7 +516,8 @@ def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
             degree = d
         elif d != degree and vec:
             raise ValueError("inhomogeneous differential expression")
-        add_scaled(total, coeff, vec)
+        add_scaled(total, coeff.numerator if coeff.denominator == 1
+                   else coeff, vec)
     return total, (degree if degree is not None else 0)
 
 
@@ -635,7 +636,7 @@ def omega(model: ModelSpec, n: int) -> LieElement:
         for i, (sym, deg) in enumerate(model.generators):
             dual_vec = relabel_tensor(base, genset, shift,
                                       base.to_tensor(duals[sym]))
-            gen_vec = {(genset.gen_id(i, j),): Fraction(1)}
+            gen_vec = {(genset.gen_id(i, j),): 1}
             term = tensor_commutator(dual_vec, gen_vec, d - 2 - deg, deg)
             add_scaled(total, Fraction(1, 2), term)
     elem = genset.from_tensor(d - 2, total)

@@ -4,7 +4,8 @@ Everything here is deterministic: reduced row echelon form is unique for a
 given row space, so all bases, coordinates and quotients are canonical and
 bit-identical across runs.  Elimination works fraction-free on
 arbitrary-precision integer rows (cross-multiplication with content
-stripping); fractions only appear in the final normalization step.
+stripping).  A rational stays a Python int until a division is inexact
+(an RREF row whose pivot entry is not 1, an uneven back-substitution step).
 
 One sparse convention holds for every vector that crosses a function
 boundary here and in the layers above: a ``Vector`` (or a tensor vector) is
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-Vector = dict[int, Fraction]  # sparse: missing key means zero
+Vector = dict[int, int | Fraction]  # sparse; int until a division is inexact
 
 
 def add_scaled(acc: dict, c, vec: Mapping) -> dict:
@@ -54,14 +55,13 @@ def _strip_content(row: dict) -> dict:
 
 def _to_int_row(row: Mapping[Hashable, Fraction]) -> dict:
     """Clear denominators and strip content; returns integer row."""
-    entries = {c: Fraction(v) for c, v in row.items() if v != 0}
-    if not entries:
-        return {}
-    den = 1
-    for v in entries.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = {c: int(v * den) for c, v in entries.items()}
-    return _strip_content(out)
+    out = {c: v for c, v in row.items() if v}
+    if any(type(v) is not int for v in out.values()):
+        den = 1
+        for v in out.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        out = {c: int(v * den) for c, v in out.items()}
+    return _strip_content(out) if out else out
 
 
 def _eliminate(row: dict, pivot_row: dict, pivot: Hashable) -> dict:
@@ -114,16 +114,14 @@ def _reduced_echelon(
         for q in [q for q in row if q != p and q in echelon]:
             row = _eliminate(row, echelon[q], q)
         echelon[p] = row
-    out = []
-    for p in pivots:
-        row = echelon[p]
-        lead = Fraction(row[p])
-        out.append({c: Fraction(v) / lead for c, v in row.items()})
-    return out, pivots
+    final = [echelon[p] for p in pivots]  # pivot entry 1: already normalized
+    return [row if row[p] == 1 else {c: Fraction(v, row[p])
+                                     for c, v in row.items()}
+            for p, row in zip(pivots, final)], pivots
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q with row-major storage."""
+    """Immutable sparse matrix over Q, row-major; stores entries as given."""
 
     __slots__ = ("rows", "cols", "_rows", "_cols_cached")
 
@@ -136,8 +134,7 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) out of bounds")
-                v = Fraction(v)
-                if v != 0:
+                if v:
                     self._rows[r][c] = v
 
     @classmethod
@@ -145,8 +142,8 @@ class SparseMatrix:
         m = cls(rows, len(columns))
         for c, col in enumerate(columns):
             for r, v in col.items():
-                if v != 0:
-                    m._rows[r][c] = Fraction(v)
+                if v:
+                    m._rows[r][c] = v
         return m
 
     @classmethod
@@ -154,8 +151,8 @@ class SparseMatrix:
         m = cls(len(rows), cols)
         for r, row in enumerate(rows):
             for c, v in row.items():
-                if v != 0:
-                    m._rows[r][c] = Fraction(v)
+                if v:
+                    m._rows[r][c] = v
         return m
 
     def entry(self, r: int, c: int) -> Fraction | int:
@@ -249,16 +246,14 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
     """Canonical echelon basis of the null space of m."""
     rows, pivots = _reduced_echelon(m._rows)
     pivot_set = set(pivots)
-    kernel_vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v: Vector = {f: Fraction(1)}
-        for p, row in zip(pivots, rows):
-            if f in row:
-                v[p] = -row[f]
-        kernel_vectors.append(v)
-    return SubspaceBasis.from_vectors(kernel_vectors, m.cols)
+    kernel = {f: {f: 1} for f in range(m.cols) if f not in pivot_set}
+    # an RREF row is zero at the other pivots, so each entry x off its own
+    # pivot p sits in a free column f: kernel vector f has -x at p
+    for p, row in zip(pivots, rows):
+        for f, x in row.items():
+            if f != p:
+                kernel[f][p] = -x
+    return SubspaceBasis.from_vectors(kernel.values(), m.cols)
 
 
 def image_basis(m: SparseMatrix) -> SubspaceBasis:
@@ -273,7 +268,7 @@ def inverse(m: SparseMatrix) -> Optional[SparseMatrix]:
     if m.cols != n:
         raise ValueError("only a square matrix has an inverse")
     rows, pivots = _reduced_echelon(
-        {**row, n + i: Fraction(1)} for i, row in enumerate(m._rows))
+        {**row, n + i: 1} for i, row in enumerate(m._rows))
     if pivots != list(range(n)):
         return None
     return SparseMatrix.from_rows(
@@ -375,7 +370,9 @@ class SpanSolver:
             if p not in self._rows:
                 return None
             i, row = self._rows[p]
-            c = v[p] if row[p] == 1 else Fraction(v[p]) / row[p]
+            c, lead = v[p], row[p]
+            if lead != 1:
+                c = c // lead if c % lead == 0 else Fraction(c, lead)
             add_scaled(v, -c, row)
             coords[i] = c
         return coords

@@ -116,6 +116,24 @@ def test_parse_range():
     assert parse_range("2") == (2,)
     with pytest.raises(ValueError):
         parse_range("3..1")
+    from derlie.cli import MAX_RANGE_VALUES
+    assert len(parse_range(f"1..{MAX_RANGE_VALUES}")) == MAX_RANGE_VALUES
+    with pytest.raises(ValueError):
+        parse_range(f"0..{MAX_RANGE_VALUES}")
+
+
+@pytest.mark.parametrize("flag", ["--k", "--n"])
+def test_huge_range_is_a_usage_error(capsys, flag):
+    # refused before the range is built: 10^11 values do not fit in memory
+    argv = {"--k": "1", "--n": "1", flag: "1..99999999999"}
+    code = main(["compute", "--model", "sphere2",
+                 *[x for kv in argv.items() for x in kv]])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error:") and "1..99999999999" in lines[0]
 
 
 def test_job_rejects_k_zero():
@@ -466,3 +484,32 @@ def test_checks_reported_in_json():
     assert names["pbw"] == "pass"
     assert names["consistency"] == "pass"
     assert names["bracket-closure"] == "pass"
+
+
+def _closure_check(report):
+    return next(c for c in report["checks"]
+                if c["name"] == "bracket-closure")
+
+
+def test_closure_check_samples_the_least_nonempty_slice():
+    # the degree-2 boundary slice of cp2 is empty at n = 1
+    report, code = run(job(model_path="cp2", mode=Mode.BOUNDARY,
+                           k_values=(2,), n_values=(1, 2, 3)))
+    assert code == EXIT_OK
+    assert report["cells"][0]["dim"] == 0
+    assert _closure_check(report) == {
+        "name": "bracket-closure", "outcome": "pass",
+        "detail": "1 sampled pairs at n=2, k=2"}
+    report, _ = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                        k_values=(1,), n_values=(1, 2)))
+    assert _closure_check(report)["detail"] == "5 sampled pairs at n=1, k=1"
+
+
+def test_closure_check_skipped_when_every_slice_is_empty():
+    report, code = run(job(model_path="s3xs3", mode=Mode.BOUNDARY,
+                           k_values=(1,), n_values=(1, 2, 3, 4)))
+    assert code == EXIT_OK
+    assert all(c["dim"] == 0 for c in report["cells"])
+    assert _closure_check(report) == {
+        "name": "bracket-closure", "outcome": "skipped",
+        "detail": "degree-1 slice empty at every n"}

@@ -357,3 +357,50 @@ def test_boundary_window_squares_to_zero_nonzero_differential(cp3):
     for k in (1, 2):
         assert differential_matrix(cp3, 1, k, Mode.BOUNDARY).compose(
             differential_matrix(cp3, 1, k + 1, Mode.BOUNDARY)).is_zero()
+
+
+def _fraction_omega_constraint(model, n, k):
+    """Reference: the constraint theta -> theta(omega) on omega itself, with
+    its Fraction coefficients."""
+    from derlie.gradedlie import apply_values_tensor, omega
+    from derlie.ratlinalg import SparseMatrix
+    genset = free_product_generators(model, n)
+    w_tensor = genset.to_tensor(omega(model, n))
+    target = genset.slice(model.ambient_dim - 2 + k)
+    columns = []
+    for gid in range(genset.count):
+        for elem in lyndon_basis(genset, genset.degrees[gid] + k):
+            img = apply_values_tensor(genset, k, {gid: genset.expansion(elem)},
+                                      w_tensor)
+            columns.append(target.solver.express(img) if img else {})
+    return SparseMatrix.from_columns(columns, target.dim)
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs3"])
+def test_omega_constraint_columns_are_ints(request, monkeypatch, name):
+    model = request.getfixturevalue(name)
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(dermodel.ratlinalg, "kernel_basis", spy)
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            sl = derivation_basis.__wrapped__(model, n, k, Mode.BOUNDARY)
+            assert sl.basis == kernel_basis(
+                _fraction_omega_constraint(model, n, k)), (n, k)
+    assert len(seen) == 6
+    values = [v for m in seen for row in m._rows for v in row.values()]
+    assert values and all(type(v) is int for v in values)
+
+
+def test_half_omega_keeps_its_kernel(cp2):
+    from derlie.gradedlie import omega
+    assert F(1, 2) in omega(cp2, 2).coeffs.values()
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            sl = derivation_basis(cp2, n, k, Mode.BOUNDARY)
+            old = kernel_basis(_fraction_omega_constraint(cp2, n, k))
+            assert sl.basis == old, (n, k)

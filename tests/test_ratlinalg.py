@@ -391,3 +391,84 @@ def test_matrix_compose_and_apply():
     assert ab.entry(0, 1) == 1
     assert ab.entry(1, 0) == 6
     assert a.apply({0: F(1), 2: F(1)}) == {0: F(1), 1: F(2)}
+
+
+# ---- integer-first values -----------------------------------------------------
+
+def _pivot_loop_kernel_basis(m):
+    """Reference: test every pivot row for every free column, O(cols x
+    rank), then take the canonical basis of those vectors."""
+    rows, pivots = ratlinalg._reduced_echelon(m._rows)
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = {f: F(1)}
+        for p, row in zip(pivots, rows):
+            if f in row:
+                v[p] = -row[f]
+        vectors.append(v)
+    return SubspaceBasis.from_vectors(vectors, m.cols)
+
+
+rationals = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+
+
+@given(st.integers(1, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_matches_the_pivot_loop(cols, data):
+    rows = data.draw(st.lists(st.lists(rationals, min_size=cols,
+                                       max_size=cols), max_size=6))
+    m = SparseMatrix(len(rows), cols, {(r, c): x
+                                       for r, row in enumerate(rows)
+                                       for c, x in enumerate(row)})
+    kernel = kernel_basis(m)
+    assert kernel == _pivot_loop_kernel_basis(m)
+    assert kernel.pivots == _pivot_loop_kernel_basis(m).pivots
+    assert all(not m.apply(v) for v in kernel.vectors)
+
+
+@given(st.dictionaries(st.integers(0, 9), st.integers(-60, 60)))
+@settings(max_examples=100, deadline=None)
+def test_int_rows_skip_the_fraction_round_trip(row):
+    got = ratlinalg._to_int_row(row)
+    assert got == ratlinalg._to_int_row({c: F(v) for c, v in row.items()})
+    assert all(type(v) is int for v in got.values())
+    assert 0 not in got.values()
+
+
+def test_rref_keeps_unit_pivot_rows_integral():
+    rows, pivots = ratlinalg._reduced_echelon([{0: 1, 1: 2}, {1: 3, 2: 1}])
+    assert pivots == [0, 1]
+    assert rows == [{0: 1, 2: F(-2, 3)}, {1: 1, 2: F(1, 3)}]
+    rows, _ = ratlinalg._reduced_echelon([{0: 2, 1: 4}, {1: F(1, 2)}])
+    assert rows == [{0: 1}, {1: 1}]
+    assert all(type(v) is int for row in rows for v in row.values())
+
+
+@given(triangular_rows(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_express_over_unit_pivots_returns_ints(basis, data):
+    width, rows = basis
+    rows = [{**row, min(row): 1} for row in rows]
+    s = SpanSolver()
+    assert all(s.add(row) for row in rows)
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
+                                max_size=len(rows)))
+    combo: dict = {}
+    for c, row in zip(coeffs, rows):
+        add_scaled(combo, c, row)
+    coords = s.express(combo)
+    assert coords == {i: c for i, c in enumerate(coeffs) if c}
+    assert all(type(c) is int for c in coords.values())
+
+
+def test_express_divides_by_a_leading_two_only_when_inexact():
+    s = SpanSolver()
+    assert s.add({(0, 0): 2})
+    exact = s.express({(0, 0): 6})
+    assert exact == {0: 3} and type(exact[0]) is int
+    assert s.express({(0, 0): 3}) == {0: F(3, 2)}

@@ -7,12 +7,14 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 import lie_character
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
+from derlie.gradedlie import ModelSpec, validate_model
 from derlie.ratlinalg import SparseMatrix, rank
 from derlie.reptheory import (
     ClassFunction,
@@ -172,3 +174,74 @@ def test_sphere_k3_stabilizes_at_nine():
         rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
         assert rows == decompose(oracle).padded(), n
     assert report["stability"][0]["stabilized_at"] == 9
+
+
+@st.composite
+def zero_differential_models(draw):
+    """Generator degrees (1 to 3 generators of degree 1 to 3), and where the
+    degrees allow one a random nondegenerate pairing as a full matrix with
+    its ambient dimension d.  <a,b> needs |a| + |b| = d - 2 and obeys
+    <a,b> = -(-1)^{|a||b|} <b,a>, so <a,a> = 0 when |a| is even."""
+    degrees = sorted(draw(st.lists(st.integers(1, 3), min_size=1,
+                                   max_size=3)))
+    m = len(degrees)
+
+    def allowed(t, i, j):
+        return degrees[i] + degrees[j] == t and (i != j or degrees[i] % 2)
+
+    tops = [t for t in sorted({a + b for a in degrees for b in degrees})
+            if all(any(allowed(t, i, j) for j in range(m))
+                   for i in range(m))]
+    if not tops or not draw(st.booleans()):
+        return degrees, None, None
+    t = draw(st.sampled_from(tops))
+    matrix = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if allowed(t, i, j):
+                c = draw(st.sampled_from([-2, -1, 1, 2]))
+                odd = degrees[i] * degrees[j] % 2
+                matrix[i][j], matrix[j][i] = c, c if odd else -c
+    assume(bruteforce.dense_rank([[F(c) for c in row]
+                                  for row in matrix]) == m)
+    return degrees, matrix, t + 2
+
+
+def _word_count(letter_degrees, degree):
+    counts = [1] + [0] * degree
+    for d in range(1, degree + 1):
+        counts[d] = sum(counts[d - e] for e in letter_degrees if e <= d)
+    return counts[degree]
+
+
+@given(zero_differential_models(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_zero_differential_models_match_both_oracles(model_data,
+                                                           data):
+    # at most 6 letters, so that every slice stays small; the dense oracle
+    # runs where its largest word space has at most 300 words
+    degrees, matrix, d = model_data
+    n = data.draw(st.integers(1, min(3, 6 // len(degrees))))
+    names = [f"g{i}" for i in range(len(degrees))]
+    pairing = [(names[i], names[j], F(matrix[i][j]))
+               for i in range(len(degrees)) for j in range(i, len(degrees))
+               if matrix and matrix[i][j]]
+    model = ModelSpec("random", list(zip(names, degrees)), pairing=pairing,
+                      ambient_dim=d)
+    assert validate_model(model) == []
+    brute_model = bruteforce.BruteModel(
+        degrees, pairing=matrix and [[F(c) for c in row] for row in matrix],
+        ambient_dim=d)
+    modes = [Mode.POINTED] + ([Mode.BOUNDARY] if matrix else [])
+    for mode in modes:
+        for k in (1, 2):
+            omega_degree = d - 2 + k if mode is Mode.BOUNDARY else None
+            oracle = lie_character.character(degrees, n, k, omega_degree)
+            assert character(model, n, k, mode).values == oracle, (mode, k)
+            dim = homology(model, n, k, mode).dimension
+            assert dim == oracle[(1,) * n], (mode, k)
+            top = max(degrees) + k if omega_degree is None else omega_degree
+            if _word_count(degrees * n, top) <= 300:
+                brute = bruteforce.BruteComplex(brute_model, n, top)
+                assert dim == (brute.slice_dim(k) if omega_degree is None
+                               else brute.boundary_slice_dim(k)), (mode, k)
