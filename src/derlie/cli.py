@@ -506,15 +506,17 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode) -> int:
 
 def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
     """Seeded random derivation brackets stay inside the boundary
-    subcomplex, sampled at the least n whose degree-k slice is nonempty."""
-    k = min(job.k_values)
-    for n in sorted(job.n_values):
+    subcomplex, sampled at the first nonempty slice in ascending k, then
+    ascending n."""
+    ks = sorted(job.k_values)
+    for k, n in ((k, n) for k in ks for n in sorted(job.n_values)):
         sl = derivation_basis(model, n, k, Mode.BOUNDARY)
         if sl.dim:
             break
     else:
+        degrees = f"{ks[0]}" if len(ks) == 1 else f"{ks[0]}..{ks[-1]}"
         return {"name": "bracket-closure", "outcome": "skipped",
-                "detail": f"degree-{k} slice empty at every n"}
+                "detail": f"degree-{degrees} slice empty at every n"}
     genset = free_product_generators(model, n)
     predicted = sum(lie_dim(genset, genset.degrees[g] + 2 * k)
                     for g in range(genset.count))

@@ -31,7 +31,6 @@ from .gradedlie import (
     LieBasisElement,
     LieElement,
     ModelSpec,
-    apply_differential,
     apply_values_tensor,
     free_product_generators,
     lyndon_basis,
@@ -56,7 +55,7 @@ class Derivation:
     """A derivation of L(H^(+n)) of homological degree k, determined by its
     generator values."""
 
-    __slots__ = ("genset", "degree", "values", "_tensor")
+    __slots__ = ("genset", "degree", "values")
 
     def __init__(self, genset: GeneratorSet, degree: int,
                  values: Mapping[int, LieElement]):
@@ -72,19 +71,12 @@ class Derivation:
                     f"value on generator {genset.symbol(gid)} has degree "
                     f"{val.degree}, expected {expected}")
             self.values[gid] = val
-        self._tensor = None
 
     def value(self, gid: int) -> LieElement:
         val = self.values.get(gid)
         if val is None:
             return LieElement(self.genset.degrees[gid] + self.degree)
         return val
-
-    def tensor_values(self) -> dict[int, dict]:
-        if self._tensor is None:
-            self._tensor = {gid: self.genset.to_tensor(val)
-                            for gid, val in self.values.items()}
-        return self._tensor
 
     def is_zero(self) -> bool:
         return not self.values
@@ -105,8 +97,8 @@ def apply_derivation(theta: Derivation, e: LieElement) -> LieElement:
     genset = theta.genset
     if e.is_zero() or theta.is_zero():
         return LieElement(e.degree + theta.degree)
-    vec = apply_values_tensor(genset, theta.degree, theta.tensor_values(),
-                              genset.to_tensor(e))
+    values = {gid: genset.to_tensor(val) for gid, val in theta.values.items()}
+    vec = apply_values_tensor(genset, theta.degree, values, genset.to_tensor(e))
     return genset.from_tensor(e.degree + theta.degree, vec)
 
 
@@ -250,21 +242,31 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     if genset.has_zero_differential:
         return SparseMatrix(tgt.dim, src.dim)
     sign = -1 if k % 2 else 1
-    letters = {gid: {g for w in dvec for g in w}
-               for gid, dvec in genset._diff_tensor.items()}
+    users: dict[int, list[int]] = {}  # letter g -> generators whose d holds g
+    for gid, dvec in genset._diff_tensor.items():
+        for g in {g for w in dvec for g in w}:
+            users.setdefault(g, []).append(gid)
+
+    @cache
+    def pointed_column(j: int) -> Vector:
+        """delta of the pointed coordinate j = (g -> e), in pointed target
+        coordinates: d(e) on g, and -(-1)^k theta(dh) on each h."""
+        g, e = src.coords[j]
+        col = {tgt.coord_index[(g, x)]: c
+               for x, c in genset.differential(e).items()}
+        for h in users.get(g, ()):
+            img = apply_values_tensor(genset, k, {g: genset.expansion(e)},
+                                      genset._diff_tensor[h])
+            value = genset.from_tensor(genset.degrees[h] + k - 1, img)
+            add_scaled(col, -sign, {tgt.coord_index[(h, x)]: c
+                                    for x, c in value.coeffs.items()})
+        return col
+
     columns: list[Vector] = []
     for i in range(src.dim):
-        theta = src.basis_derivation(i)
-        values = {gid: dict(apply_differential(genset, val).coeffs)
-                  for gid, val in theta.values.items()}  # d o theta
-        for gid, dvec in genset._diff_tensor.items():  # theta o d
-            if not letters[gid].isdisjoint(theta.values):
-                img = apply_values_tensor(genset, k, theta.tensor_values(),
-                                          dvec)
-                value = genset.from_tensor(genset.degrees[gid] + k - 1, img)
-                add_scaled(values.setdefault(gid, {}), -sign, value.coeffs)
-        pointed = {tgt.coord_index[(gid, e)]: x
-                   for gid, v in values.items() for e, x in v.items()}
+        pointed: Vector = {}
+        for j, c in src.local_to_pointed({i: 1}).items():
+            add_scaled(pointed, c, pointed_column(j))
         local = tgt.pointed_to_local(pointed)
         if local is None:
             raise ClosureViolation(

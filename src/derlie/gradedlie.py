@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -210,25 +210,35 @@ class LieElement:
 
 
 class _Slice:
-    """Super-Lyndon basis of one total degree, with tensor expansions keyed
-    by leading word, so that a tensor vector is re-expressed in this basis
-    by back-substitution."""
+    """Super-Lyndon basis of one total degree.  Its tensor expansions are
+    built on first use of ``solver``, keyed by leading word, so that a
+    tensor vector is re-expressed in this basis by back-substitution."""
 
-    def __init__(self, elements: list[LieBasisElement],
-                 expansions: list[TensorVector]):
+    def __init__(self, genset: GeneratorSet, elements: list[LieBasisElement]):
+        self.genset = genset
         self.elements = elements
-        self.expansions = expansions
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.solver = SpanSolver()
-        for i, exp in enumerate(expansions):
-            if not self.solver.add(exp):
-                raise BasisExpressionFailure(
-                    f"basis expansion at position {i} is zero or shares its "
-                    f"leading word with an earlier one")
 
     @property
     def dim(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def solver(self) -> SpanSolver:
+        solver = SpanSolver()
+        for i, elem in enumerate(self.elements):
+            if not solver.add(self.genset.expansion(elem)):
+                raise BasisExpressionFailure(
+                    f"basis expansion at position {i} is zero or shares its "
+                    f"leading word with an earlier one")
+        return solver
+
+    @cached_property
+    def multisets(self) -> dict[Word, list[int]]:
+        """Element indices grouped by the sorted letters of their word."""
+        groups: dict[Word, list[int]] = {}
+        for i, elem in enumerate(self.elements):
+            groups.setdefault(tuple(sorted(elem.word)), []).append(i)
+        return groups
 
 
 class GeneratorSet:
@@ -358,8 +368,7 @@ class GeneratorSet:
             raise BasisExpressionFailure(
                 f"basis count {len(elements)} in degree {degree} does not "
                 f"match the dimension formula {expected}")
-        expansions = [self.expansion(e) for e in elements]
-        return _Slice(elements, expansions)
+        return _Slice(self, elements)
 
     def expansion(self, elem: LieBasisElement) -> TensorVector:
         cached = self._expansion_cache.get(elem)
@@ -392,18 +401,20 @@ class GeneratorSet:
             m = self.base_count
             mapping = dict(enumerate(sigma))
             sl = self.slice(degree)
-            for i, elem in enumerate(sl.elements):
-                moved = [sigma[g // m] * m + g % m for g in elem.word]
-                if sorted(moved) != sorted(elem.word):
+            for letters, indices in sl.multisets.items():
+                if sorted(sigma[g // m] * m + g % m for g in letters) \
+                        != list(letters):
                     continue
-                vec = relabel_tensor(self, self, mapping,
-                                     self.expansion(elem))
-                coords = sl.solver.express(vec)
-                if coords is None:
-                    raise BasisExpressionFailure(
-                        f"relabeled basis element {elem} is outside the "
-                        f"Lyndon span")
-                out += coords.get(i, 0)
+                for i in indices:
+                    elem = sl.elements[i]
+                    vec = relabel_tensor(self, self, mapping,
+                                         self.expansion(elem))
+                    coords = sl.solver.express(vec)
+                    if coords is None:
+                        raise BasisExpressionFailure(
+                            f"relabeled basis element {elem} is outside the "
+                            f"Lyndon span")
+                    out += coords.get(i, 0)
             self._trace_cache[key] = out
         return out
 

@@ -505,6 +505,19 @@ def test_closure_check_samples_the_least_nonempty_slice():
     assert _closure_check(report)["detail"] == "5 sampled pairs at n=1, k=1"
 
 
+def test_closure_check_moves_on_to_the_next_degree():
+    # every degree-1 boundary slice of s3xs3 is empty; degree 2 is not
+    report, code = run(job(model_path="s3xs3", mode=Mode.BOUNDARY,
+                           k_values=(1, 2), n_values=(1, 2, 3, 4)))
+    assert code == EXIT_OK
+    dims = {(c["k"], c["n"]): c["dim"] for c in report["cells"]}
+    assert [dims[(1, n)] for n in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert [dims[(2, n)] for n in (2, 3, 4)] == [4, 20, 56]
+    assert _closure_check(report) == {
+        "name": "bracket-closure", "outcome": "pass",
+        "detail": "5 sampled pairs at n=2, k=2"}
+
+
 def test_closure_check_skipped_when_every_slice_is_empty():
     report, code = run(job(model_path="s3xs3", mode=Mode.BOUNDARY,
                            k_values=(1,), n_values=(1, 2, 3, 4)))
@@ -513,3 +526,8 @@ def test_closure_check_skipped_when_every_slice_is_empty():
     assert _closure_check(report) == {
         "name": "bracket-closure", "outcome": "skipped",
         "detail": "degree-1 slice empty at every n"}
+    report, _ = run(job(model_path="s3xs3", mode=Mode.BOUNDARY,
+                        k_values=(1, 2), n_values=(1,)))
+    assert all(c["dim"] == 0 for c in report["cells"])
+    assert _closure_check(report)["detail"] == (
+        "degree-1..2 slice empty at every n")

@@ -20,8 +20,9 @@ from derlie.gradedlie import (
     bracket,
     free_product_generators,
     lyndon_basis,
+    omega,
 )
-from derlie.ratlinalg import extend_echelon, kernel_basis, rank
+from derlie.ratlinalg import SparseMatrix, extend_echelon, kernel_basis, rank
 
 F = Fraction
 
@@ -56,7 +57,6 @@ def test_boundary_slice_s2xs2(s2xs2):
     brute = bruteforce.BruteComplex(bruteforce.s2xs2_model(), 1, 4)
     assert brute.boundary_slice_dim(1) == 4
     # every basis derivation annihilates omega exactly
-    from derlie.gradedlie import omega
     w = omega(s2xs2, 1)
     for i in range(sl.dim):
         theta = sl.basis_derivation(i)
@@ -180,6 +180,96 @@ def test_delta_nonzero_on_product_model(product_model):
     assert rank(m) == bruteforce.dense_rank(cols)
 
 
+def _leibniz_delta(model, n, k, mode):
+    """Reference delta_k, column by column: each basis derivation theta
+    becomes d o theta - (-1)^k theta o d through its Lie values."""
+    src = derivation_basis(model, n, k, mode)
+    tgt = derivation_basis(model, n, k - 1, mode)
+    genset = src.genset
+    sign = -1 if k % 2 else 1
+    columns = []
+    for i in range(src.dim):
+        theta = src.basis_derivation(i)
+        values = {}
+        for gid in range(genset.count):
+            value = apply_differential(genset, theta.value(gid)) - \
+                apply_derivation(theta, genset.differential_of(gid)).scale(sign)
+            if not value.is_zero():
+                values[gid] = value
+        pointed = tgt.derivation_to_pointed(Derivation(genset, k - 1, values))
+        local = tgt.pointed_to_local(pointed)
+        assert local is not None, "image left the boundary slice"
+        columns.append(local)
+    return SparseMatrix.from_columns(columns, tgt.dim)
+
+
+def _dense_words(brute):
+    return max(space.dim for space in brute.ctx.spaces.values())
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("product_model", Mode.POINTED),
+    ("cp3", Mode.POINTED),
+    ("cp3", Mode.BOUNDARY),
+])
+def test_delta_matches_leibniz_route_and_dense_oracle(request, name, mode):
+    model = request.getfixturevalue(name)
+    brute_model = {"product_model": bruteforce.product_model,
+                   "cp3": bruteforce.cp3_model}[name]()
+    oracle_checked = 0
+    for n in (1, 2, 3):
+        deltas = {}
+        for k in (1, 2, 3):
+            m = differential_matrix(model, n, k, mode)
+            assert m.columns() == _leibniz_delta(model, n, k, mode).columns(), \
+                (n, k)
+            deltas[k] = m
+            top = max(model.degree_of(s) for s in model.symbols) + k
+            if mode is Mode.BOUNDARY:
+                top = max(top, model.ambient_dim - 2 + k)
+            brute = bruteforce.BruteComplex(brute_model, n, top)
+            if _dense_words(brute) > 300:
+                continue
+            if mode is Mode.POINTED:
+                dense = brute.delta_matrix(k)
+            else:
+                dense = brute.boundary_delta_images(k)
+            assert rank(m) == (bruteforce.dense_rank(dense) if dense else 0), \
+                (n, k)
+            oracle_checked += 1
+        for k in (1, 2):
+            assert deltas[k].compose(deltas[k + 1]).is_zero(), (n, k)
+    assert oracle_checked >= 4
+
+
+@pytest.fixture
+def cold_caches():
+    """Forget every memoized generator set, slice, matrix and homology."""
+    for fn in (free_product_generators, omega, derivation_basis,
+               differential_matrix, homology):
+        fn.cache_clear()
+
+
+def test_pointed_slice_builds_no_expansion(product_model, cold_caches):
+    for n, k in [(1, 1), (2, 2), (3, 3), (4, 2)]:
+        sl = derivation_basis(product_model, n, k, Mode.POINTED)
+        assert sl.dim > 0
+        assert not sl.genset._expansion_cache, (n, k)
+
+
+def test_delta_expands_only_the_slices_it_expresses_in(product_model,
+                                                       cold_caches):
+    homology(product_model, 4, 2, Mode.POINTED)
+    genset = free_product_generators(product_model, 4)
+    # degree 8 holds the values on c of degree-3 derivations: no such
+    # value holds the letter c, so its d is zero, and c is a letter of no
+    # d(g), so delta never expands them
+    assert genset._slices[8].dim == 1008
+    assert "solver" not in vars(genset._slices[8])
+    # the slices of degrees 4, 6 and 7 and the four generators c
+    assert len(genset._expansion_cache) <= 232
+
+
 def test_boundary_differential_zero_for_s2xs2(s2xs2):
     m = differential_matrix(s2xs2, 1, 2, Mode.BOUNDARY)
     assert m.is_zero()
@@ -294,7 +384,6 @@ def test_boundary_slices_closed_under_bracket(s2xs2):
     rng = random.Random(2026)
     sl1 = derivation_basis(s2xs2, 2, 1, Mode.BOUNDARY)
     sl2 = derivation_basis(s2xs2, 2, 2, Mode.BOUNDARY)
-    from derlie.gradedlie import omega
     w = omega(s2xs2, 2)
     for _ in range(6):
         i = rng.randrange(sl1.dim)
@@ -397,7 +486,6 @@ def test_omega_constraint_columns_are_ints(request, monkeypatch, name):
 
 
 def test_half_omega_keeps_its_kernel(cp2):
-    from derlie.gradedlie import omega
     assert F(1, 2) in omega(cp2, 2).coeffs.values()
     for n in (1, 2, 3):
         for k in (1, 2):
