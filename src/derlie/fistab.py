@@ -5,7 +5,10 @@ consistency check for stabilized images.
 An injection acts on a derivation by extension by zero: the relabeled
 derivation takes the conjugated value on summands in the image and vanishes
 on the rest.  Permutations are the bijective special case, acting by
-sigma . theta = sigma o theta o sigma^{-1}.
+sigma . theta = sigma o theta o sigma^{-1}.  Both act on pointed
+coordinates, one memoized column per coordinate:
+(g -> e) goes to (sigma g -> sigma . e), where sigma . e is one basis
+element when sigma is increasing on the summands of e's word.
 """
 
 from __future__ import annotations
@@ -13,24 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from . import reptheory
 from .dermodel import (
     ClosureViolation,
-    Derivation,
     DerSlice,
     Mode,
     derivation_basis,
     homology,
 )
-from .gradedlie import (
-    LieElement,
-    ModelSpec,
-    free_product_generators,
-    relabel_element,
-)
-from .ratlinalg import SparseMatrix, Vector
+from .gradedlie import (ModelSpec, free_product_generators,
+                        relabel_basis_element)
+from .ratlinalg import SparseMatrix, Vector, add_scaled
 
 
 class NotAChainMap(Exception):
@@ -71,23 +69,32 @@ class Injection:
         return Injection(inner.source, self.target,
                          tuple(self.image[j] for j in inner.image))
 
-    def summand_map(self) -> dict[int, int]:
-        return {j: self.image[j] for j in range(self.source)}
 
+def _pushforward(inj: Injection, src: DerSlice, tgt: DerSlice
+                 ) -> Callable[[Mapping[int, Fraction]], Vector]:
+    """Extension by zero from src's local coordinates to tgt's.  The image
+    of each pointed coordinate (g -> e), namely (inj g -> inj . e), is
+    memoized for the life of the returned map."""
+    sg, tg = src.genset, tgt.genset
 
-def relabel_derivation(theta: Derivation, inj: Injection,
-                       target_slice: DerSlice) -> Derivation:
-    """Extension by zero along an injection."""
-    src = theta.genset
-    dst = target_slice.genset
-    mapping = inj.summand_map()
-    values: dict[int, LieElement] = {}
-    for gid, val in theta.values.items():
-        base = src.base_index(gid)
-        j = src.summand(gid)
-        new_gid = dst.gen_id(base, mapping[j])
-        values[new_gid] = relabel_element(src, dst, mapping, val)
-    return Derivation(dst, theta.degree, values)
+    @cache
+    def pointed_column(j: int) -> Vector:
+        g, e = src.coords[j]
+        h = tg.gen_id(sg.base_index(g), inj.image[sg.summand(g)])
+        return {tgt.coord_index[(h, x)]: c for x, c in
+                relabel_basis_element(sg, tg, inj.image, e).items()}
+
+    def push(local: Mapping[int, Fraction]) -> Vector:
+        pointed: Vector = {}
+        for j, c in src.local_to_pointed(local).items():
+            add_scaled(pointed, c, pointed_column(j))
+        out = tgt.pointed_to_local(pointed)
+        if out is None:
+            raise ClosureViolation(
+                "extension by zero left the boundary subcomplex")
+        return out
+
+    return push
 
 
 def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
@@ -95,16 +102,9 @@ def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
     """Matrix of the extension-by-zero map in local slice coordinates."""
     src = derivation_basis(model, inj.source, k, mode)
     tgt = derivation_basis(model, inj.target, k, mode)
-    columns: list[Vector] = []
-    for i in range(src.dim):
-        theta = relabel_derivation(src.basis_derivation(i), inj, tgt)
-        pointed = tgt.derivation_to_pointed(theta)
-        local = tgt.pointed_to_local(pointed)
-        if local is None:
-            raise ClosureViolation(
-                "extension by zero left the boundary subcomplex")
-        columns.append(local)
-    return SparseMatrix.from_columns(columns, tgt.dim)
+    push = _pushforward(inj, src, tgt)
+    return SparseMatrix.from_columns([push({i: 1}) for i in range(src.dim)],
+                                     tgt.dim)
 
 
 def homology_map(inj: Injection, model: ModelSpec, k: int,
@@ -112,17 +112,11 @@ def homology_map(inj: Injection, model: ModelSpec, k: int,
     """The induced map on homology, via representatives."""
     src_h = homology(model, inj.source, k, mode)
     tgt_h = homology(model, inj.target, k, mode)
-    src_slice = derivation_basis(model, inj.source, k, mode)
-    tgt_slice = derivation_basis(model, inj.target, k, mode)
+    push = _pushforward(inj, derivation_basis(model, inj.source, k, mode),
+                        derivation_basis(model, inj.target, k, mode))
     columns: list[Vector] = []
     for rep in src_h.representatives:
-        theta = src_slice.pointed_to_derivation(src_slice.local_to_pointed(rep))
-        image = relabel_derivation(theta, inj, tgt_slice)
-        pointed = tgt_slice.derivation_to_pointed(image)
-        local = tgt_slice.pointed_to_local(pointed)
-        if local is None:
-            raise ClosureViolation(
-                "extension by zero left the boundary subcomplex")
+        local = push(rep)
         if not tgt_h.is_cycle(local):
             raise NotAChainMap(
                 f"image of a representative is not a cycle at "

@@ -292,7 +292,8 @@ class GeneratorSet:
             terms = self.model.differential.get(sym)
             if terms:
                 vec, _ = _evaluate_expr(self, terms, summand=0)
-                base_tensors[i] = vec
+                if vec:  # an expression such as [a,[a,a]] can vanish
+                    base_tensors[i] = vec
         for j in range(self.arity):
             for i, vec in base_tensors.items():
                 shifted = {tuple(g + j * self.base_count for g in w): c
@@ -399,7 +400,6 @@ class GeneratorSet:
         if out is None:
             out = Fraction(0)
             m = self.base_count
-            mapping = dict(enumerate(sigma))
             sl = self.slice(degree)
             for letters, indices in sl.multisets.items():
                 if sorted(sigma[g // m] * m + g % m for g in letters) \
@@ -407,14 +407,8 @@ class GeneratorSet:
                     continue
                 for i in indices:
                     elem = sl.elements[i]
-                    vec = relabel_tensor(self, self, mapping,
-                                         self.expansion(elem))
-                    coords = sl.solver.express(vec)
-                    if coords is None:
-                        raise BasisExpressionFailure(
-                            f"relabeled basis element {elem} is outside the "
-                            f"Lyndon span")
-                    out += coords.get(i, 0)
+                    out += relabel_basis_element(self, self, sigma,
+                                                 elem).get(elem, 0)
             self._trace_cache[key] = out
         return out
 
@@ -598,7 +592,7 @@ def dual_basis(model: ModelSpec) -> dict[str, LieElement]:
 
 
 def relabel_tensor(src: GeneratorSet, dst: GeneratorSet,
-                   summand_map: Mapping[int, int],
+                   summand_map: Sequence[int],
                    vec: TensorVector) -> TensorVector:
     m = src.base_count
     out: TensorVector = {}
@@ -608,25 +602,33 @@ def relabel_tensor(src: GeneratorSet, dst: GeneratorSet,
     return {w: c for w, c in out.items() if c != 0}
 
 
+def relabel_basis_element(src: GeneratorSet, dst: GeneratorSet,
+                          summand_map: Sequence[int],
+                          elem: LieBasisElement
+                          ) -> dict[LieBasisElement, Fraction]:
+    """sigma . elem in dst's Lyndon coordinates, where summand j of src goes
+    to summand summand_map[j] of dst.  When the map is increasing on the
+    summands of elem's word, the relabeled word is Lyndon with the same
+    standard bracketing, so the image is one basis element; otherwise the
+    relabeled expansion is re-expressed in dst."""
+    m = src.base_count
+    summands = sorted({g // m for g in elem.word})
+    if all(summand_map[a] < summand_map[b]
+           for a, b in zip(summands, summands[1:])):
+        word = tuple(summand_map[g // m] * m + g % m for g in elem.word)
+        return {LieBasisElement(elem.square, word): 1}
+    vec = relabel_tensor(src, dst, summand_map, src.expansion(elem))
+    return dst.from_tensor(src.element_degree(elem), vec).coeffs
+
+
 def relabel_element(src: GeneratorSet, dst: GeneratorSet,
-                    summand_map: Mapping[int, int],
+                    summand_map: Sequence[int],
                     e: LieElement) -> LieElement:
-    """Push e along a summand relabeling.  Order-preserving relabelings map
-    the Lyndon basis to itself; others go through tensor coordinates."""
-    if e.is_zero():
-        return LieElement(e.degree)
-    items = sorted(summand_map.items())
-    increasing = all(items[i][1] < items[i + 1][1]
-                     for i in range(len(items) - 1))
-    if increasing:
-        m = src.base_count
-        coeffs = {}
-        for elem, c in e.coeffs.items():
-            nw = tuple(summand_map[g // m] * m + (g % m) for g in elem.word)
-            coeffs[LieBasisElement(elem.square, nw)] = c
-        return LieElement(e.degree, coeffs)
-    vec = relabel_tensor(src, dst, summand_map, src.to_tensor(e))
-    return dst.from_tensor(e.degree, vec)
+    """Push e along a summand relabeling, one basis element at a time."""
+    out: dict = {}
+    for elem, c in e.coeffs.items():
+        add_scaled(out, c, relabel_basis_element(src, dst, summand_map, elem))
+    return LieElement(e.degree, out)
 
 
 @cache
@@ -643,10 +645,10 @@ def omega(model: ModelSpec, n: int) -> LieElement:
     d = model.ambient_dim
     total: TensorVector = {}
     for j in range(n):
-        shift = {0: j}
+        shift = (j,)
         for i, (sym, deg) in enumerate(model.generators):
-            dual_vec = relabel_tensor(base, genset, shift,
-                                      base.to_tensor(duals[sym]))
+            dual_vec = genset.to_tensor(
+                relabel_element(base, genset, shift, duals[sym]))
             gen_vec = {(genset.gen_id(i, j),): 1}
             term = tensor_commutator(dual_vec, gen_vec, d - 2 - deg, deg)
             add_scaled(total, Fraction(1, 2), term)
@@ -660,7 +662,7 @@ def omega(model: ModelSpec, n: int) -> LieElement:
         raise OmegaNotCycle(
             f"d(omega_{n}) != 0 for model {model.name}; inconsistent data")
     for t in range(n - 1):
-        swap = {j: j for j in range(n)}
+        swap = list(range(n))
         swap[t], swap[t + 1] = t + 1, t
         if relabel_element(genset, genset, swap, elem) != elem:
             raise InvarianceFailure(

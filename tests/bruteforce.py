@@ -66,7 +66,7 @@ def express_in(basis_rows, pivots, vec):
     resid = list(vec)
     for c, row in zip(coords, basis_rows):
         if c != 0:
-            resid = [x - c * y for x, y in zip(resid, row)]
+            resid = [x - c * y if y else x for x, y in zip(resid, row)]
     if any(x != 0 for x in resid):
         return None
     return coords
@@ -220,6 +220,7 @@ class BruteComplex:
         self.degrees = model.base_degrees * n
         self.ctx = TensorContext(self.degrees, max_degree)
         self.diff_values = self._relabel_differential()
+        self._cycles_boundaries = {}  # k -> RREF bases of ker, im (traces)
 
     def _relabel_differential(self):
         values = {}
@@ -314,6 +315,51 @@ class BruteComplex:
         im = dense_rank(dk1) if dk1 else 0
         return ker - im
 
+    def sigma_matrix(self, sigma, k):
+        """Columns of the summand permutation sigma (sigma[j] is the image
+        of summand j) on pointed slice-k coordinates: the derivation
+        (g -> row b) goes to (sigma g -> sigma . row b), where sigma relabels
+        the letters of each word."""
+        coords = self.slice_coords(k)
+        index = {c: i for i, c in enumerate(coords)}
+        mm = self.m
+
+        def move(letter):
+            return sigma[letter // mm] * mm + letter % mm
+
+        cols = []
+        for g, b in coords:
+            degree = self.degrees[g] + k
+            rows, pivots = self.ctx.lie_slice(degree)
+            space = self.ctx.spaces[degree]
+            img = space.zero()
+            for wi, c in enumerate(rows[b]):
+                if c != 0:
+                    word = tuple(move(x) for x in space.words[wi])
+                    img[space.index[word]] += c
+            coeffs = express_in(rows, pivots, img)
+            assert coeffs is not None, "relabeled element left the Lie slice"
+            col = [F(0)] * len(coords)
+            for b2, c in enumerate(coeffs):
+                col[index[(move(g), b2)]] = c
+            cols.append(col)
+        return cols
+
+    def homology_trace(self, sigma, k):
+        """tr(sigma | H_k) = tr(sigma | ker delta_k) - tr(sigma | im
+        delta_{k+1}) in the pointed complex, k >= 1; both subspaces are
+        sigma-invariant because sigma commutes with delta."""
+        if k not in self._cycles_boundaries:
+            dk = self.delta_matrix(k)
+            rows_k = [[col[i] for col in dk]
+                      for i in range(self.slice_dim(k - 1))]
+            self._cycles_boundaries[k] = (
+                rref_dense(dense_kernel(rows_k, len(dk))),
+                rref_dense(self.delta_matrix(k + 1)))
+        cycles, boundaries = self._cycles_boundaries[k]
+        act = self.sigma_matrix(sigma, k)
+        return _subspace_trace(act, *cycles) - _subspace_trace(act, *boundaries)
+
     # -- boundary mode ---------------------------------------------------------
 
     def omega_vector(self):
@@ -397,6 +443,21 @@ class BruteComplex:
         imgs_k1 = self.boundary_delta_images(k + 1)
         ker = len(imgs_k) - dense_rank(imgs_k)
         return ker - dense_rank(imgs_k1)
+
+
+def _subspace_trace(cols, rows, pivots):
+    """Trace of the map with the given dense columns on the invariant
+    subspace with the RREF basis (rows, pivots)."""
+    total = F(0)
+    for i, r in enumerate(rows):
+        img = [F(0)] * len(r)
+        for c, col in zip(r, cols):
+            if c != 0:
+                img = [a + c * x if x else a for a, x in zip(img, col)]
+        coords = express_in(rows, pivots, img)
+        assert coords is not None, "subspace is not invariant"
+        total += coords[i]
+    return total
 
 
 def dense_inverse(mat):

@@ -6,8 +6,15 @@ import pytest
 
 import bruteforce
 from derlie import fistab
-from derlie.cli import EXIT_CHECK_FAILURE, JobSpec, run
-from derlie.dermodel import Mode, derivation_basis, differential_matrix, homology
+from derlie.cli import EXIT_CHECK_FAILURE, EXIT_OK, JobSpec, load_model, run
+from derlie.dermodel import (
+    Derivation,
+    Mode,
+    apply_derivation,
+    derivation_basis,
+    differential_matrix,
+    homology,
+)
 from derlie.fistab import (
     Injection,
     character,
@@ -18,8 +25,9 @@ from derlie.fistab import (
     sigma_action,
     stabilizer_generators,
 )
+from derlie.gradedlie import free_product_generators, omega, relabel_tensor
 from derlie.ratlinalg import SparseMatrix, rank
-from derlie.reptheory import decompose, partitions
+from derlie.reptheory import decompose, generation_check, partitions
 
 F = Fraction
 
@@ -31,6 +39,33 @@ def identity_matrix(n):
 def all_injections(n, m):
     for image in itertools.permutations(range(m), n):
         yield Injection(n, m, image)
+
+
+def tensor_route_relabel(theta, inj, dst):
+    """Extension by zero of a Derivation, each value relabeled in tensor
+    coordinates and re-expressed in dst, with no order-preserving
+    shortcut."""
+    src = theta.genset
+    values = {}
+    for gid, val in theta.values.items():
+        new_gid = dst.gen_id(src.base_index(gid), inj.image[src.summand(gid)])
+        vec = relabel_tensor(src, dst, inj.image, src.to_tensor(val))
+        values[new_gid] = dst.from_tensor(val.degree, vec)
+    return Derivation(dst, theta.degree, values)
+
+
+def tensor_route_slice_map(inj, model, k, mode=Mode.POINTED):
+    """Reference for induced_slice_map through Derivation values: basis
+    derivation, tensor_route_relabel, then back to local coordinates."""
+    src = derivation_basis(model, inj.source, k, mode)
+    tgt = derivation_basis(model, inj.target, k, mode)
+    columns = []
+    for i in range(src.dim):
+        theta = tensor_route_relabel(src.basis_derivation(i), inj, tgt.genset)
+        local = tgt.pointed_to_local(tgt.derivation_to_pointed(theta))
+        assert local is not None, "image left the boundary slice"
+        columns.append(local)
+    return SparseMatrix.from_columns(columns, tgt.dim)
 
 
 # ---- Injection -----------------------------------------------------------------
@@ -140,6 +175,21 @@ def test_slice_maps_commute_with_differential(product_model):
             assert tgt_delta.compose(fk) == fk1.compose(src_delta)
 
 
+@pytest.mark.parametrize("name,mode", [("product_model", Mode.POINTED),
+                                       ("cp3", Mode.POINTED),
+                                       ("cp3", Mode.BOUNDARY),
+                                       ("s2xs2", Mode.BOUNDARY)])
+def test_slice_map_matches_the_tensor_route(request, name, mode):
+    model = request.getfixturevalue(name)
+    maps = list(all_injections(2, 3)) + [
+        Injection.from_permutation(sigma)
+        for sigma in itertools.permutations(range(3))]
+    for k in (1, 2):
+        for inj in maps:
+            assert induced_slice_map(inj, model, k, mode) == \
+                tensor_route_slice_map(inj, model, k, mode), (inj, k)
+
+
 # ---- homology_map --------------------------------------------------------------
 
 def test_homology_identity_map(sphere2):
@@ -161,15 +211,13 @@ def test_boundary_homology_map_lands_in_kernel(s2xs2):
 
 def test_boundary_lift_annihilates_bigger_omega(s2xs2):
     # extension by zero of an omega_n-annihilating derivation kills omega_{n+1}
-    from derlie.dermodel import apply_derivation
-    from derlie.fistab import relabel_derivation
-    from derlie.gradedlie import omega
     src = derivation_basis(s2xs2, 1, 1, Mode.BOUNDARY)
-    tgt = derivation_basis(s2xs2, 2, 1, Mode.BOUNDARY)
+    g2 = free_product_generators(s2xs2, 2)
     w2 = omega(s2xs2, 2)
     for i in range(src.dim):
-        theta = relabel_derivation(src.basis_derivation(i),
-                                   Injection.standard(1, 2), tgt)
+        theta = tensor_route_relabel(src.basis_derivation(i),
+                                     Injection.standard(1, 2), g2)
+        assert not theta.is_zero()
         assert apply_derivation(theta, w2).is_zero()
 
 
@@ -213,6 +261,26 @@ def test_action_homomorphism(sphere2, s2xs2):
         dim = homology(model, n, 1, mode).dimension
         assert sigma_action(tuple(range(n)), model, 1, mode) == \
             identity_matrix(dim)
+
+
+def test_actions_construct_no_derivation(cp3, monkeypatch):
+    constructed = []
+    original = Derivation.__init__
+
+    def spy(self, *args, **kwargs):
+        constructed.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", spy)
+    sigma_action.cache_clear()  # a memo hit would not reach the action
+    for mode in (Mode.POINTED, Mode.BOUNDARY):
+        for sigma in itertools.permutations(range(3)):
+            sigma_action(sigma, cp3, 1, mode)
+        assert consistency_check(cp3, 1, 3, 1, mode)
+        generation_check(cp3, mode, 2, (1, 2, 3))
+    assert constructed == []
+    Derivation(free_product_generators(cp3, 1), 1, {})
+    assert constructed  # the spy does see a construction
 
 
 # ---- consistency_check ---------------------------------------------------------
@@ -279,6 +347,29 @@ def test_character_k2_matches_tensor_trace_oracle(sphere2):
                 coords = bruteforce.express_in(rows, pivots, img)
                 trace += coords[bi]
             assert chi(mu) == f1 * trace, (n, mu)
+
+
+@pytest.mark.parametrize("name", ["product_model", "cp3"])
+def test_nonzero_differential_character_matches_dense_oracle(request, name):
+    model = request.getfixturevalue(name)
+    brute_model = {"product_model": bruteforce.product_model,
+                   "cp3": bruteforce.cp3_model}[name]()
+    top_generator = max(d for _, d in model.generators)
+    checked = []
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            brute = bruteforce.BruteComplex(brute_model, n,
+                                            top_generator + k + 1)
+            if max(s.dim for s in brute.ctx.spaces.values()) > 300:
+                continue
+            chi = character(model, n, k)
+            for mu in partitions(n):
+                sigma = cycle_type_representative(mu)
+                assert chi(mu) == brute.homology_trace(sigma, k), (n, k, mu)
+            checked.append((n, k))
+    assert [c for c in checked if c[0] >= 2] == {
+        "product_model": [(2, 1), (2, 2), (3, 1)],
+        "cp3": [(2, 1), (2, 2)]}[name]
 
 
 def test_even_pairing_boundary_decomposition(s3xs3):
@@ -356,6 +447,34 @@ def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
     chi = character(model, 2, 1, mode)
     assert "sigma_action" in calls and "homology_map" in calls
     assert chi((1, 1)) == homology(model, 2, 1, mode).dimension
+
+
+def test_differential_that_vanishes_takes_the_trace_path(tmp_path,
+                                                        monkeypatch):
+    # a odd: [a, [a, a]] = 0 by Jacobi, so d(b) = 0 in the Lie algebra
+    text = "name: vanishing\ngenerators:\n  a: 1\n  b: 4\n"
+    plain = tmp_path / "plain.model"
+    plain.write_text(text)
+    vanishing = tmp_path / "vanishing.model"
+    vanishing.write_text(text + "differential:\n  b: [a, [a, a]]\n")
+    model = load_model(str(vanishing))
+    assert model.differential  # the line is parsed, not dropped
+    for n in (1, 2, 3):
+        assert free_product_generators(model, n).has_zero_differential
+    calls = spy_on_actions(monkeypatch)
+    traced = {(n, k): character(model, n, k).values
+              for n in (1, 2, 3) for k in (1, 2)}
+    assert calls == []
+    for (n, k), values in traced.items():
+        assert values == matrix_character(model, n, k, Mode.POINTED), (n, k)
+    reports = []
+    for path in (vanishing, plain):
+        report, code = run(JobSpec(model_path=str(path), mode=Mode.POINTED,
+                                   k_values=(1, 2), n_values=(1, 2, 3)))
+        assert code == EXIT_OK
+        reports.append([(c["n"], c["k"], c["dim"]) for c in report["cells"]])
+    assert reports[0] == reports[1]
+    assert any(dim for _, _, dim in reports[0])
 
 
 def test_constraint_not_onto_falls_back_to_the_action_matrix(s2xs2,

@@ -22,7 +22,9 @@ from derlie.gradedlie import (
     lyndon_basis,
     omega,
     pbw_series_check,
+    relabel_basis_element,
     relabel_element,
+    relabel_tensor,
     validate_model,
 )
 
@@ -426,6 +428,27 @@ def test_omega_invariance_up_to_arity_4(s2xs2, cp2):
             for sigma in itertools.permutations(range(n)):
                 mapping = {j: sigma[j] for j in range(n)}
                 assert relabel_element(g, g, mapping, w) == w
+
+
+@pytest.mark.parametrize("name", ["sphere2", "s2xs2", "cp3"])
+def test_relabel_basis_element_matches_the_tensor_route(request, name):
+    import itertools
+    model = request.getfixturevalue(name)
+    g2 = free_product_generators(model, 2)
+    g3 = free_product_generators(model, 3)
+    maps = [(g3, sigma) for sigma in itertools.permutations(range(3))] + \
+        [(g2, image) for image in itertools.permutations(range(3), 2)]
+    seen_square = seen_mixed = 0
+    for src, summand_map in maps:
+        for degree in range(1, 6):
+            for e in lyndon_basis(src, degree):
+                vec = relabel_tensor(src, g3, summand_map, src.expansion(e))
+                expected = g3.from_tensor(degree, vec).coeffs
+                assert relabel_basis_element(src, g3, summand_map, e) == \
+                    expected, (summand_map, e)
+                seen_square += e.square
+                seen_mixed += len({src.summand(x) for x in e.word}) > 1
+    assert seen_square and seen_mixed
 
 
 # ---- pbw_series_check ----------------------------------------------------------
