@@ -41,6 +41,7 @@ from . import reptheory
 from .dermodel import (
     ClosureViolation,
     Mode,
+    _require_boundary_data,
     apply_derivation,
     derivation_basis,
     derivation_bracket,
@@ -631,11 +632,10 @@ def run(job: JobSpec) -> tuple[dict, int]:
         return _error_report(job, "validation-error", exc.problems), \
             EXIT_VALIDATION
 
-    if job.mode is Mode.BOUNDARY and (not model.has_pairing
-                                      or model.ambient_dim is None):
-        return _error_report(
-            job, "validation-error",
-            "boundary mode requires a model with pairing and ambient_dim"), \
+    try:
+        _require_boundary_data(model, job.mode)
+    except ValueError as exc:
+        return _error_report(job, "validation-error", str(exc)), \
             EXIT_VALIDATION
 
     for n in job.n_values:

@@ -7,8 +7,9 @@ supported, selected by ``Mode``:
 * pointed: all derivations, with basis indexed by pairs (generator, Lie
   basis element of the matching degree);
 * boundary: the subcomplex of derivations annihilating the intersection
-  element omega_n, computed as the kernel of theta -> theta(omega) inside
-  the pointed slice, before any differential is built.
+  element omega_n, the kernel of theta -> theta(omega) inside the pointed
+  slice.  That map is onto L_{d-2+k}, so the slice's dimension is counted;
+  the kernel basis is built on first use and checked against the count.
 
 The differential is theta -> d o theta - (-1)^k theta o d.  Homology in
 degree k is ker(delta_k)/im(delta_{k+1}); for k = 1 the kernel is taken
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
-from typing import Mapping, Optional
+from functools import cache, cached_property
+from typing import Callable, Mapping, Optional
 
 from . import ratlinalg
 from .gradedlie import (
@@ -33,6 +34,7 @@ from .gradedlie import (
     ModelSpec,
     apply_values_tensor,
     free_product_generators,
+    lie_dim,
     lyndon_basis,
     omega,
 )
@@ -40,7 +42,8 @@ from .ratlinalg import SparseMatrix, SubspaceBasis, Vector, add_scaled
 
 
 class ClosureViolation(Exception):
-    """An image left the boundary subcomplex (would contradict d(omega)=0)."""
+    """An image left the boundary subcomplex (would contradict d(omega)=0),
+    or its kernel basis disagrees with the counted dimension."""
 
 
 class Mode(Enum):
@@ -118,12 +121,14 @@ def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
 
 class DerSlice:
     """One homological degree of a derivation complex, with an ordered basis
-    and exact coordinates."""
+    and exact coordinates.  A boundary slice is the kernel of
+    theta -> theta(omega): theta = (g -> e) sends omega to [e, g^#] up to a
+    nonzero scalar, so the image is [L, V] = L_{d-2+k} (every generator has
+    degree <= d-3) and the kernel has dimension pointed_dim - dim L_{d-2+k}."""
 
     def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
                  genset: GeneratorSet,
-                 coords: list[tuple[int, LieBasisElement]],
-                 basis: Optional[SubspaceBasis]):
+                 coords: list[tuple[int, LieBasisElement]]):
         self.model = model
         self.n = n
         self.k = k
@@ -131,15 +136,41 @@ class DerSlice:
         self.genset = genset
         self.coords = coords
         self.coord_index = {c: i for i, c in enumerate(coords)}
-        self.basis = basis  # None in pointed mode: slice = full coordinate space
+        self.dim = len(coords) - (lie_dim(genset, model.ambient_dim - 2 + k)
+                                  if mode is Mode.BOUNDARY else 0)
 
     @property
     def pointed_dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) if self.basis is None else self.basis.dim
+    @cached_property
+    def basis(self) -> SubspaceBasis:
+        """Kernel of theta -> theta(omega) in pointed coordinates (boundary
+        mode only), checked against the counted dimension."""
+        genset, k = self.genset, self.k
+        # theta(c omega) = 0 iff theta(omega) = 0: use omega's int multiple
+        w_tensor = ratlinalg._to_int_row(
+            genset.to_tensor(omega(self.model, self.n)))
+        target_slice = genset.slice(self.model.ambient_dim - 2 + k)
+        columns: list[Vector] = []
+        for gid, elem in self.coords:
+            img = apply_values_tensor(genset, k, {gid: genset.expansion(elem)},
+                                      w_tensor)
+            col: Vector = {}
+            if img:
+                expressed = target_slice.solver.express(img)
+                if expressed is None:
+                    raise ClosureViolation(
+                        "derivation image of omega left the Lyndon span")
+                col = expressed
+            columns.append(col)
+        constraint = SparseMatrix.from_columns(columns, target_slice.dim)
+        basis = ratlinalg.kernel_basis(constraint)
+        if basis.dim != self.dim:
+            raise ClosureViolation(
+                f"omega constraint kernel has dimension {basis.dim}, the "
+                f"count gives {self.dim} at (n={self.n}, k={k})")
+        return basis
 
     def derivation_to_pointed(self, theta: Derivation) -> Vector:
         vec: Vector = {}
@@ -161,12 +192,12 @@ class DerSlice:
 
     def pointed_to_local(self, vec: Mapping[int, Fraction]
                          ) -> Optional[Vector]:
-        if self.basis is None:
+        if self.mode is Mode.POINTED:
             return dict(vec)
         return ratlinalg.coordinates_in_span(self.basis, vec)
 
     def local_to_pointed(self, local: Mapping[int, Fraction]) -> Vector:
-        if self.basis is None:
+        if self.mode is Mode.POINTED:
             return dict(local)
         out: Vector = {}
         for i, c in local.items():
@@ -188,6 +219,23 @@ def _require_boundary_data(model: ModelSpec, mode: Mode) -> None:
             "boundary mode requires a model with pairing and ambient_dim")
 
 
+def push_local(src: DerSlice, tgt: DerSlice,
+               pointed_column: Callable[[int], Vector],
+               local: Mapping[int, Fraction], name: str) -> Vector:
+    """Image of a vector in src's local coordinates under the linear map
+    whose pointed columns are given, in tgt's local coordinates; an image
+    outside tgt raises ClosureViolation naming the map and the cells."""
+    pointed: Vector = {}
+    for j, c in src.local_to_pointed(local).items():
+        add_scaled(pointed, c, pointed_column(j))
+    out = tgt.pointed_to_local(pointed)
+    if out is None:
+        raise ClosureViolation(
+            f"{name} image left the boundary subcomplex at "
+            f"(n={src.n}, k={src.k}) -> (n={tgt.n}, k={tgt.k})")
+    return out
+
+
 @cache
 def derivation_basis(model: ModelSpec, n: int, k: int,
                      mode: Mode = Mode.POINTED) -> DerSlice:
@@ -205,28 +253,9 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
         for elem in lyndon_basis(genset, genset.degrees[gid] + k):
             coords.append((gid, elem))
 
-    basis = None
     if mode is Mode.BOUNDARY:
-        # theta(c omega) = 0 iff theta(omega) = 0: use omega's int multiple
-        w_tensor = ratlinalg._to_int_row(genset.to_tensor(omega(model, n)))
-        target_degree = model.ambient_dim - 2 + k
-        target_slice = genset.slice(target_degree)
-        columns: list[Vector] = []
-        for gid, elem in coords:
-            img = apply_values_tensor(genset, k, {gid: genset.expansion(elem)},
-                                      w_tensor)
-            col: Vector = {}
-            if img:
-                expressed = target_slice.solver.express(img)
-                if expressed is None:
-                    raise ClosureViolation(
-                        "derivation image of omega left the Lyndon span")
-                col = expressed
-            columns.append(col)
-        constraint = SparseMatrix.from_columns(columns, target_slice.dim)
-        basis = ratlinalg.kernel_basis(constraint)
-
-    return DerSlice(model, n, k, mode, genset, coords, basis)
+        omega(model, n)  # its cycle, invariance and pairing checks run here
+    return DerSlice(model, n, k, mode, genset, coords)
 
 
 @cache
@@ -262,17 +291,8 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
                                     for x, c in value.coeffs.items()})
         return col
 
-    columns: list[Vector] = []
-    for i in range(src.dim):
-        pointed: Vector = {}
-        for j, c in src.local_to_pointed({i: 1}).items():
-            add_scaled(pointed, c, pointed_column(j))
-        local = tgt.pointed_to_local(pointed)
-        if local is None:
-            raise ClosureViolation(
-                f"differential image left the boundary slice at "
-                f"(n={n}, k={k})")
-        columns.append(local)
+    columns = [push_local(src, tgt, pointed_column, {i: 1}, "differential")
+               for i in range(src.dim)]
     return SparseMatrix.from_columns(columns, tgt.dim)
 
 

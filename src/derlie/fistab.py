@@ -16,19 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from . import reptheory
-from .dermodel import (
-    ClosureViolation,
-    DerSlice,
-    Mode,
-    derivation_basis,
-    homology,
-)
+from .dermodel import DerSlice, Mode, derivation_basis, homology, push_local
 from .gradedlie import (ModelSpec, free_product_generators,
                         relabel_basis_element)
-from .ratlinalg import SparseMatrix, Vector, add_scaled
+from .ratlinalg import SparseMatrix, Vector
 
 
 class NotAChainMap(Exception):
@@ -84,15 +78,10 @@ def _pushforward(inj: Injection, src: DerSlice, tgt: DerSlice
         return {tgt.coord_index[(h, x)]: c for x, c in
                 relabel_basis_element(sg, tg, inj.image, e).items()}
 
+    name = f"extension by zero along {inj.image}"
+
     def push(local: Mapping[int, Fraction]) -> Vector:
-        pointed: Vector = {}
-        for j, c in src.local_to_pointed(local).items():
-            add_scaled(pointed, c, pointed_column(j))
-        out = tgt.pointed_to_local(pointed)
-        if out is None:
-            raise ClosureViolation(
-                "extension by zero left the boundary subcomplex")
-        return out
+        return push_local(src, tgt, pointed_column, local, name)
 
     return push
 
@@ -107,6 +96,7 @@ def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
                                      tgt.dim)
 
 
+@cache
 def homology_map(inj: Injection, model: ModelSpec, k: int,
                  mode: Mode = Mode.POINTED) -> SparseMatrix:
     """The induced map on homology, via representatives."""
@@ -172,32 +162,16 @@ def cycle_type_representative(mu: reptheory.Partition) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _omega_constraint_onto(model: ModelSpec, n: int, k: int) -> bool:
-    """Whether theta -> theta(omega) maps the pointed degree-k slice onto
-    L_{d-2+k}: its rank is the pointed dimension minus the kernel's."""
-    sl = derivation_basis(model, n, k, Mode.BOUNDARY)
-    target = sl.genset.slice(model.ambient_dim - 2 + k)
-    return sl.pointed_dim - sl.dim == target.dim
-
-
 def _trace_character(model: ModelSpec, n: int, k: int, mode: Mode
-                     ) -> Optional[dict[reptheory.Partition, Fraction]]:
-    """Character of a zero-differential cell from traces on Lie slices, or
-    None when the cell needs the action matrices.
+                     ) -> dict[reptheory.Partition, Fraction]:
+    """Character of a zero-differential cell from traces on Lie slices.
 
     With delta = 0, H_k is the degree-k slice: the sum over generators g of
     L_{|g|+k}, on which sigma acts by relabeling, with a zero diagonal
     unless sigma fixes g's summand.  In boundary mode it is the kernel of
-    the equivariant map theta -> theta(omega) (omega is sigma-invariant);
-    when that map is onto L_{d-2+k}, that slice's trace is subtracted."""
+    the equivariant map theta -> theta(omega) (omega is sigma-invariant),
+    which is onto L_{d-2+k}, so that slice's trace is subtracted."""
     genset = free_product_generators(model, n)
-    if not genset.has_zero_differential:
-        return None
-    omega_degree = None
-    if mode is Mode.BOUNDARY:
-        if not _omega_constraint_onto(model, n, k):
-            return None
-        omega_degree = model.ambient_dim - 2 + k
     values: dict[reptheory.Partition, Fraction] = {}
     for mu in reptheory.partitions(n):
         sigma = cycle_type_representative(mu)
@@ -206,8 +180,8 @@ def _trace_character(model: ModelSpec, n: int, k: int, mode: Mode
         if fixed:
             for _, degree in model.generators:
                 trace += fixed * genset.trace(sigma, degree + k)
-        if omega_degree is not None:
-            trace -= genset.trace(sigma, omega_degree)
+        if mode is Mode.BOUNDARY:
+            trace -= genset.trace(sigma, model.ambient_dim - 2 + k)
         values[mu] = trace
     dim = homology(model, n, k, mode).dimension
     if values[(1,) * n] != dim:
@@ -222,11 +196,11 @@ def character(model: ModelSpec, n: int, k: int,
     """Trace of the homology action at one representative per cycle type:
     from traces on Lie slices when the differential is zero, otherwise
     the diagonal of the action matrix on homology."""
-    values = _trace_character(model, n, k, mode)
-    if values is None:
-        values = {}
-        for mu in reptheory.partitions(n):
-            act = sigma_action(cycle_type_representative(mu), model, k, mode)
-            values[mu] = sum((act.entry(i, i) for i in range(act.rows)),
-                             Fraction(0))
+    if free_product_generators(model, n).has_zero_differential:
+        return reptheory.ClassFunction(n, _trace_character(model, n, k, mode))
+    values = {}
+    for mu in reptheory.partitions(n):
+        act = sigma_action(cycle_type_representative(mu), model, k, mode)
+        values[mu] = sum((act.entry(i, i) for i in range(act.rows)),
+                         Fraction(0))
     return reptheory.ClassFunction(n, values)

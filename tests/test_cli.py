@@ -174,6 +174,48 @@ def test_run_boundary_requires_pairing():
     assert report["status"] == "validation-error"
 
 
+def test_cli_boundary_without_pairing_is_one_error_line(capsys):
+    code = main(["compute", "--model", "sphere2", "--mode", "boundary",
+                 "--k", "1", "--n", "1"])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line for line in captured.out.splitlines()
+            if line.startswith("error")] == [
+        "error: boundary mode requires a model with pairing and ambient_dim"]
+    assert "Traceback" not in captured.out
+
+
+@pytest.fixture
+def fresh_slices():
+    """Forget memoized slices before and after, so a patched count neither
+    meets an old slice nor leaves one behind."""
+    from derlie.dermodel import derivation_basis, homology
+    from derlie.fistab import homology_map, sigma_action
+
+    def clear():
+        for fn in (derivation_basis, homology, homology_map, sigma_action):
+            fn.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_wrong_boundary_count_is_a_check_failure(monkeypatch, fresh_slices):
+    from derlie import dermodel
+    from derlie.gradedlie import lie_dim
+    monkeypatch.setattr(dermodel, "lie_dim", lambda *a: lie_dim(*a) - 1)
+    report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                           k_values=(1,), n_values=(1, 2, 3),
+                           check_consistency=True))
+    assert code == EXIT_CHECK_FAILURE
+    assert report["status"] == "check-failure"
+    assert report["error"] == (
+        "ClosureViolation: omega constraint kernel has dimension 4, the "
+        "count gives 5 at (n=1, k=1)")
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
 def test_run_missing_model(tmp_path, case):
     (tmp_path / "latin1.model").write_bytes(

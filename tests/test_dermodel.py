@@ -19,6 +19,7 @@ from derlie.gradedlie import (
     apply_differential,
     bracket,
     free_product_generators,
+    lie_dim,
     lyndon_basis,
     omega,
 )
@@ -483,6 +484,27 @@ def test_omega_constraint_columns_are_ints(request, monkeypatch, name):
     assert len(seen) == 6
     values = [v for m in seen for row in m._rows for v in row.values()]
     assert values and all(type(v) is int for v in values)
+
+
+BOUNDARY_MODELS = ["s2xs2", "s3xs3", "cp2", "cp3"]
+
+
+@pytest.mark.parametrize("name", BOUNDARY_MODELS)
+def test_boundary_kernel_matches_the_count(request, name):
+    # theta -> theta(omega) is onto L_{d-2+k}: its kernel has the
+    # counted dimension, in every degree including the truncation target
+    model = request.getfixturevalue(name)
+    checked = 0
+    for n in (1, 2, 3):
+        for k in range(5):
+            sl = derivation_basis(model, n, k, Mode.BOUNDARY)
+            if sl.pointed_dim > 3000:
+                continue
+            omega_dim = lie_dim(sl.genset, model.ambient_dim - 2 + k)
+            assert sl.basis.dim == sl.dim == sl.pointed_dim - omega_dim, \
+                (n, k)
+            checked += 1
+    assert checked >= 14
 
 
 def test_half_omega_keeps_its_kernel(cp2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from derlie import fistab
+from derlie import dermodel, fistab
 from derlie.cli import EXIT_CHECK_FAILURE, EXIT_OK, JobSpec, load_model, run
 from derlie.dermodel import (
     Derivation,
@@ -26,7 +26,7 @@ from derlie.fistab import (
     stabilizer_generators,
 )
 from derlie.gradedlie import free_product_generators, omega, relabel_tensor
-from derlie.ratlinalg import SparseMatrix, rank
+from derlie.ratlinalg import SparseMatrix, kernel_basis, rank
 from derlie.reptheory import decompose, generation_check, partitions
 
 F = Fraction
@@ -273,6 +273,7 @@ def test_actions_construct_no_derivation(cp3, monkeypatch):
 
     monkeypatch.setattr(Derivation, "__init__", spy)
     sigma_action.cache_clear()  # a memo hit would not reach the action
+    homology_map.cache_clear()
     for mode in (Mode.POINTED, Mode.BOUNDARY):
         for sigma in itertools.permutations(range(3)):
             sigma_action(sigma, cp3, 1, mode)
@@ -443,6 +444,7 @@ def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
                                                      name, mode):
     model = request.getfixturevalue(name)
     sigma_action.cache_clear()  # a memo hit would not reach homology_map
+    homology_map.cache_clear()
     calls = spy_on_actions(monkeypatch)
     chi = character(model, 2, 1, mode)
     assert "sigma_action" in calls and "homology_map" in calls
@@ -477,14 +479,51 @@ def test_differential_that_vanishes_takes_the_trace_path(tmp_path,
     assert any(dim for _, _, dim in reports[0])
 
 
-def test_constraint_not_onto_falls_back_to_the_action_matrix(s2xs2,
-                                                             monkeypatch):
-    traced = [character(s2xs2, n, 1, Mode.BOUNDARY).values for n in (2, 3)]
-    calls = spy_on_actions(monkeypatch)
-    monkeypatch.setattr(fistab, "_omega_constraint_onto", lambda *a: False)
-    fallback = [character(s2xs2, n, 1, Mode.BOUNDARY).values for n in (2, 3)]
-    assert "sigma_action" in calls
-    assert fallback == traced
+def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch):
+    for fn in (free_product_generators, omega, derivation_basis,
+               differential_matrix, homology, sigma_action, homology_map):
+        fn.cache_clear()
+    calls = []
+
+    def spy(m):
+        calls.append((m.rows, m.cols))
+        return kernel_basis(m)
+
+    monkeypatch.setattr(dermodel.ratlinalg, "kernel_basis", spy)
+    for n in range(1, 6):
+        for k in (1, 2):
+            chi = character(s2xs2, n, k, Mode.BOUNDARY)
+            assert chi((1,) * n) == homology(s2xs2, n, k,
+                                             Mode.BOUNDARY).dimension
+    assert calls == []
+    derivation_basis(s2xs2, 2, 1, Mode.BOUNDARY).basis
+    assert len(calls) == 1  # the spy does see a kernel that is built
+
+
+def test_each_injection_is_computed_once(monkeypatch):
+    sigma_action.cache_clear()
+    homology_map.cache_clear()
+    pushed = []
+    original = fistab._pushforward
+
+    def spy(inj, src, tgt):
+        pushed.append((inj, src.k))
+        return original(inj, src, tgt)
+
+    monkeypatch.setattr(fistab, "_pushforward", spy)
+    report, code = run(JobSpec(model_path="s3xs3-product", mode=Mode.POINTED,
+                               k_values=(1, 2), n_values=(1, 2, 3, 4),
+                               check_consistency=True,
+                               check_generation=True))
+    assert code == EXIT_OK
+    assert [c["outcome"] for c in report["checks"]
+            if c["name"] == "consistency"] == ["pass"]
+    repeated = [key for key in set(pushed) if pushed.count(key) > 1]
+    assert repeated == []
+    # both checks ask for each standard inclusion m - 1 -> m
+    for k in (1, 2):
+        for m in (2, 3, 4):
+            assert (Injection.standard(m - 1, m), k) in pushed
 
 
 def test_corrupted_trace_is_a_check_failure(monkeypatch):

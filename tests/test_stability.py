@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 import bruteforce
 import lie_character
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
-from derlie.dermodel import Mode, homology
+from derlie.dermodel import Mode, derivation_basis, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
-from derlie.gradedlie import ModelSpec, validate_model
+from derlie.gradedlie import ModelSpec, lie_dim, validate_model
 from derlie.ratlinalg import SparseMatrix, rank
 from derlie.reptheory import (
     ClassFunction,
@@ -241,6 +241,10 @@ def test_random_zero_differential_models_match_both_oracles(model_data,
             dim = homology(model, n, k, mode).dimension
             assert dim == oracle[(1,) * n], (mode, k)
             top = max(degrees) + k if omega_degree is None else omega_degree
+            if mode is Mode.BOUNDARY:
+                sl = derivation_basis(model, n, k, mode)
+                assert sl.basis.dim == sl.dim == \
+                    sl.pointed_dim - lie_dim(sl.genset, omega_degree), k
             if _word_count(degrees * n, top) <= 300:
                 brute = bruteforce.BruteComplex(brute_model, n, top)
                 assert dim == (brute.slice_dim(k) if omega_degree is None
