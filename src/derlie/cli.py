@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import comb
 from typing import Optional
 
 from . import ENGINE_VERSION
@@ -46,6 +47,7 @@ from .dermodel import (
     derivation_basis,
     derivation_bracket,
     homology,
+    support_bound,
 )
 from .fistab import NotAChainMap, consistency_check, character
 from .gradedlie import (
@@ -450,8 +452,10 @@ def _cache_write(cache_dir: Optional[str], key: str, cell: dict) -> None:
 
 def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
                   decompose: bool) -> dict:
-    h = homology(model, n, k, mode)
-    cell = {"mode": mode.value, "n": n, "k": k, "dim": h.dimension}
+    # H_k(n) is the sum over s of C(n, s) copies of the block W_s(k)
+    dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dimension
+              for s in range(1, min(n, support_bound(model, k)) + 1))
+    cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
         chi = character(model, n, k, mode)
         dec = reptheory.decompose(chi)

@@ -16,6 +16,14 @@ degree k is ker(delta_k)/im(delta_{k+1}); for k = 1 the kernel is taken
 into the materialized degree-0 slice, which implements the positive
 truncation.  When the model's differential is zero, delta = 0 and H_k is
 the degree-k slice: the degree-(k+1) slice is never built.
+
+The support of a pointed coordinate (g -> e), the summands of g and of e's
+letters, is kept by delta and by theta -> theta(omega) = c [e, g^#].  So a
+complex is the sum over nonempty S of its support-S part, which the
+increasing relabeling identifies with the block (support all of [|S|]) at
+arity |S|.  Hence dim H_k(n) is the sum over s of C(n, s) dim W_s(k), with
+W_s(k) the homology of the block at arity s, which is 0 above
+``support_bound``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
+from math import comb
 from typing import Callable, Mapping, Optional
 
 from . import ratlinalg
@@ -124,11 +133,12 @@ class DerSlice:
     and exact coordinates.  A boundary slice is the kernel of
     theta -> theta(omega): theta = (g -> e) sends omega to [e, g^#] up to a
     nonzero scalar, so the image is [L, V] = L_{d-2+k} (every generator has
-    degree <= d-3) and the kernel has dimension pointed_dim - dim L_{d-2+k}."""
+    degree <= d-3) and the kernel has dimension pointed_dim - dim L_{d-2+k};
+    a block subtracts the part of L_{d-2+k} that uses every summand."""
 
     def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
                  genset: GeneratorSet,
-                 coords: list[tuple[int, LieBasisElement]]):
+                 coords: list[tuple[int, LieBasisElement]], block: bool):
         self.model = model
         self.n = n
         self.k = k
@@ -136,8 +146,13 @@ class DerSlice:
         self.genset = genset
         self.coords = coords
         self.coord_index = {c: i for i, c in enumerate(coords)}
-        self.dim = len(coords) - (lie_dim(genset, model.ambient_dim - 2 + k)
-                                  if mode is Mode.BOUNDARY else 0)
+        self.dim = len(coords)
+        if mode is Mode.BOUNDARY:  # for a block, by inclusion-exclusion
+            degree = model.ambient_dim - 2 + k
+            self.dim -= sum(
+                (-1) ** (n - j) * comb(n, j)
+                * lie_dim(free_product_generators(model, j), degree)
+                for j in (range(1, n + 1) if block else (n,)))
 
     @property
     def pointed_dim(self) -> int:
@@ -219,6 +234,18 @@ def _require_boundary_data(model: ModelSpec, mode: Mode) -> None:
             "boundary mode requires a model with pairing and ambient_dim")
 
 
+def _flag(block: bool) -> dict:
+    """Passes block on; a full cell omits it, to share the memo entry."""
+    return {"block": True} if block else {}
+
+
+def support_bound(model: ModelSpec, k: int) -> int:
+    """Largest support of a degree-k coordinate (g -> e): e has at most
+    (|g| + k) / (least generator degree) letters."""
+    least = min(d for _, d in model.generators)
+    return max(1 + (d + k) // least for _, d in model.generators)
+
+
 def push_local(src: DerSlice, tgt: DerSlice,
                pointed_column: Callable[[int], Vector],
                local: Mapping[int, Fraction], name: str) -> Vector:
@@ -238,9 +265,11 @@ def push_local(src: DerSlice, tgt: DerSlice,
 
 @cache
 def derivation_basis(model: ModelSpec, n: int, k: int,
-                     mode: Mode = Mode.POINTED) -> DerSlice:
+                     mode: Mode = Mode.POINTED, block: bool = False
+                     ) -> DerSlice:
     """The slice of degree-k derivations; k = 0 exists only as the
-    truncation target."""
+    truncation target.  With block, only the coordinates whose support is
+    all of [n]."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     if k < 0:
@@ -248,25 +277,28 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
     _require_boundary_data(model, mode)
 
     genset = free_product_generators(model, n)
+    m = genset.base_count
     coords: list[tuple[int, LieBasisElement]] = []
     for gid in range(genset.count):
         for elem in lyndon_basis(genset, genset.degrees[gid] + k):
-            coords.append((gid, elem))
+            if not block or len({gid // m, *(g // m for g in elem.word)}) == n:
+                coords.append((gid, elem))
 
     if mode is Mode.BOUNDARY:
         omega(model, n)  # its cycle, invariance and pairing checks run here
-    return DerSlice(model, n, k, mode, genset, coords)
+    return DerSlice(model, n, k, mode, genset, coords, block)
 
 
 @cache
 def differential_matrix(model: ModelSpec, n: int, k: int,
-                        mode: Mode = Mode.POINTED) -> SparseMatrix:
+                        mode: Mode = Mode.POINTED, block: bool = False
+                        ) -> SparseMatrix:
     """Matrix of theta -> d o theta - (-1)^k theta o d from the degree-k
     slice to the degree-(k-1) slice, in local slice coordinates."""
     if k < 1:
         raise ValueError("the differential starts at degree 1")
-    src = derivation_basis(model, n, k, mode)
-    tgt = derivation_basis(model, n, k - 1, mode)
+    src = derivation_basis(model, n, k, mode, **_flag(block))
+    tgt = derivation_basis(model, n, k - 1, mode, **_flag(block))
     genset = src.genset
     if genset.has_zero_differential:
         return SparseMatrix(tgt.dim, src.dim)
@@ -318,11 +350,13 @@ class HomologySlice:
 
 @cache
 def homology(model: ModelSpec, n: int, k: int,
-             mode: Mode = Mode.POINTED) -> HomologySlice:
-    """H_k of the positively truncated complex, k >= 1."""
+             mode: Mode = Mode.POINTED, block: bool = False
+             ) -> HomologySlice:
+    """H_k of the positively truncated complex, k >= 1; with block, of the
+    full-support block."""
     if k < 1:
         raise ValueError("homology is reported for degrees k >= 1")
-    sl = derivation_basis(model, n, k, mode)
+    sl = derivation_basis(model, n, k, mode, **_flag(block))
     delta_k = None
     if sl.genset.has_zero_differential:
         # delta = 0: every vector is a cycle and none is a boundary, so no
@@ -331,11 +365,10 @@ def homology(model: ModelSpec, n: int, k: int,
                                list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])
     else:
-        delta_k = differential_matrix(model, n, k, mode)
+        delta_k = differential_matrix(model, n, k, mode, **_flag(block))
         cycles = ratlinalg.kernel_basis(delta_k)
         boundaries = ratlinalg.image_basis(
-            differential_matrix(model, n, k + 1, mode))
+            differential_matrix(model, n, k + 1, mode, **_flag(block)))
     quotient = ratlinalg.quotient_basis(cycles, boundaries)
     return HomologySlice(model, n, k, mode, quotient.dim,
                          list(quotient.representatives), quotient, delta_k)
-

@@ -1,6 +1,7 @@
 """Injections between summand sets, the maps they induce on derivation
 slices and homology, symmetric-group actions, characters, and the
-consistency check for stabilized images.
+consistency check for stabilized images.  Characters act on the blocks
+of ``dermodel`` only; the full cells serve the checks and the FI maps.
 
 An injection acts on a derivation by extension by zero: the relabeled
 derivation takes the conjugated value on summands in the image and vanishes
@@ -13,15 +14,17 @@ element when sigma is increasing on the summands of e's word.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import comb, prod
 from typing import Callable, Mapping
 
 from . import reptheory
-from .dermodel import DerSlice, Mode, derivation_basis, homology, push_local
-from .gradedlie import (ModelSpec, free_product_generators,
-                        relabel_basis_element)
+from .dermodel import (DerSlice, Mode, _flag, derivation_basis, homology,
+                       push_local, support_bound)
+from .gradedlie import ModelSpec, relabel_basis_element
 from .ratlinalg import SparseMatrix, Vector
 
 
@@ -98,12 +101,16 @@ def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
 
 @cache
 def homology_map(inj: Injection, model: ModelSpec, k: int,
-                 mode: Mode = Mode.POINTED) -> SparseMatrix:
-    """The induced map on homology, via representatives."""
-    src_h = homology(model, inj.source, k, mode)
-    tgt_h = homology(model, inj.target, k, mode)
-    push = _pushforward(inj, derivation_basis(model, inj.source, k, mode),
-                        derivation_basis(model, inj.target, k, mode))
+                 mode: Mode = Mode.POINTED, block: bool = False
+                 ) -> SparseMatrix:
+    """The induced map on homology, via representatives; with block, on the
+    blocks, which only a permutation keeps."""
+    flag = _flag(block)
+    src_h = homology(model, inj.source, k, mode, **flag)
+    tgt_h = homology(model, inj.target, k, mode, **flag)
+    push = _pushforward(inj,
+                        derivation_basis(model, inj.source, k, mode, **flag),
+                        derivation_basis(model, inj.target, k, mode, **flag))
     columns: list[Vector] = []
     for rep in src_h.representatives:
         local = push(rep)
@@ -117,9 +124,11 @@ def homology_map(inj: Injection, model: ModelSpec, k: int,
 
 @cache
 def sigma_action(sigma: tuple[int, ...], model: ModelSpec, k: int,
-                 mode: Mode = Mode.POINTED) -> SparseMatrix:
+                 mode: Mode = Mode.POINTED, block: bool = False
+                 ) -> SparseMatrix:
     """Action matrix of a permutation on homology coordinates."""
-    return homology_map(Injection.from_permutation(sigma), model, k, mode)
+    return homology_map(Injection.from_permutation(sigma), model, k, mode,
+                        **_flag(block))
 
 
 def stabilizer_generators(n: int, m: int) -> list[tuple[int, ...]]:
@@ -162,45 +171,30 @@ def cycle_type_representative(mu: reptheory.Partition) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _trace_character(model: ModelSpec, n: int, k: int, mode: Mode
-                     ) -> dict[reptheory.Partition, Fraction]:
-    """Character of a zero-differential cell from traces on Lie slices.
-
-    With delta = 0, H_k is the degree-k slice: the sum over generators g of
-    L_{|g|+k}, on which sigma acts by relabeling, with a zero diagonal
-    unless sigma fixes g's summand.  In boundary mode it is the kernel of
-    the equivariant map theta -> theta(omega) (omega is sigma-invariant),
-    which is onto L_{d-2+k}, so that slice's trace is subtracted."""
-    genset = free_product_generators(model, n)
-    values: dict[reptheory.Partition, Fraction] = {}
-    for mu in reptheory.partitions(n):
-        sigma = cycle_type_representative(mu)
-        fixed = mu.count(1)
-        trace = Fraction(0)
-        if fixed:
-            for _, degree in model.generators:
-                trace += fixed * genset.trace(sigma, degree + k)
-        if mode is Mode.BOUNDARY:
-            trace -= genset.trace(sigma, model.ambient_dim - 2 + k)
-        values[mu] = trace
-    dim = homology(model, n, k, mode).dimension
-    if values[(1,) * n] != dim:
-        raise reptheory.NotARepresentation(
-            f"slice traces give dimension {values[(1,) * n]}, homology has "
-            f"{dim} at (n={n}, k={k}, {mode})")
-    return values
-
-
 def character(model: ModelSpec, n: int, k: int,
               mode: Mode = Mode.POINTED) -> reptheory.ClassFunction:
-    """Trace of the homology action at one representative per cycle type:
-    from traces on Lie slices when the differential is zero, otherwise
-    the diagonal of the action matrix on homology."""
-    if free_product_generators(model, n).has_zero_differential:
-        return reptheory.ClassFunction(n, _trace_character(model, n, k, mode))
+    """Trace of the homology action at one representative per cycle type.
+    sigma maps W_S to W_{sigma S}, so only S made of cycles of sigma count:
+    chi_n(mu) is the sum over sub-multisets nu of mu's cycles of
+    prod_l C(m_l(mu), m_l(nu)) chi_{W_|nu|}(nu), a block action's diagonal."""
+    blocks = []  # (multiplicities of nu, chi_{W_|nu|}(nu))
+    for s in range(1, min(n, support_bound(model, k)) + 1):
+        dim = homology(model, s, k, mode, block=True).dimension
+        if not dim:
+            continue
+        for nu in reptheory.partitions(s):
+            act = sigma_action(cycle_type_representative(nu), model, k,
+                               mode, block=True)
+            trace = sum((act.entry(i, i) for i in range(act.rows)),
+                        Fraction(0))
+            if nu == (1,) * s and trace != dim:
+                raise reptheory.NotARepresentation(
+                    f"the identity has trace {trace} on a block of "
+                    f"dimension {dim} at (s={s}, k={k}, {mode})")
+            blocks.append((Counter(nu).items(), trace))
     values = {}
     for mu in reptheory.partitions(n):
-        act = sigma_action(cycle_type_representative(mu), model, k, mode)
-        values[mu] = sum((act.entry(i, i) for i in range(act.rows)),
-                         Fraction(0))
+        m = Counter(mu)
+        values[mu] = sum((prod(comb(m[part], c) for part, c in nu) * chi
+                          for nu, chi in blocks), Fraction(0))
     return reptheory.ClassFunction(n, values)

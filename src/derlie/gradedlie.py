@@ -232,14 +232,6 @@ class _Slice:
                     f"leading word with an earlier one")
         return solver
 
-    @cached_property
-    def multisets(self) -> dict[Word, list[int]]:
-        """Element indices grouped by the sorted letters of their word."""
-        groups: dict[Word, list[int]] = {}
-        for i, elem in enumerate(self.elements):
-            groups.setdefault(tuple(sorted(elem.word)), []).append(i)
-        return groups
-
 
 class GeneratorSet:
     """Generators of L(H^(+n)): one copy of the model's generator list per
@@ -256,7 +248,7 @@ class GeneratorSet:
         self._slices: dict[int, _Slice] = {}
         self._expansion_cache: dict[LieBasisElement, TensorVector] = {}
         self._d_cache: dict[LieBasisElement, dict] = {}  # d, Lyndon coords
-        self._trace_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        self._lyndon_cache: dict[int, dict[int, int]] = {}  # up_to -> counts
         self._diff_tensor = self._build_differential()
 
     # -- identity -----------------------------------------------------------
@@ -390,27 +382,11 @@ class GeneratorSet:
         return tensor_commutator(self._expand_word(u), self._expand_word(v),
                                  self.word_degree(u), self.word_degree(v))
 
-    def trace(self, sigma: tuple[int, ...], degree: int) -> Fraction:
-        """Memoized trace of the summand permutation sigma on the Lie slice
-        of one degree, in the super-Lyndon basis.  Each element's expansion
-        only has words with the letter multiset of the element, so an
-        element whose multiset sigma moves has diagonal entry 0."""
-        key = (sigma, degree)
-        out = self._trace_cache.get(key)
-        if out is None:
-            out = Fraction(0)
-            m = self.base_count
-            sl = self.slice(degree)
-            for letters, indices in sl.multisets.items():
-                if sorted(sigma[g // m] * m + g % m for g in letters) \
-                        != list(letters):
-                    continue
-                for i in indices:
-                    elem = sl.elements[i]
-                    out += relabel_basis_element(self, self, sigma,
-                                                 elem).get(elem, 0)
-            self._trace_cache[key] = out
-        return out
+    def lyndon_counts(self, up_to: int) -> dict[int, int]:
+        """Memoized _lyndon_counts(self, up_to)."""
+        if up_to not in self._lyndon_cache:
+            self._lyndon_cache[up_to] = _lyndon_counts(self, up_to)
+        return self._lyndon_cache[up_to]
 
     # -- conversions --------------------------------------------------------
 
@@ -742,7 +718,7 @@ def lie_dim(genset: GeneratorSet, degree: int) -> int:
     of that degree, plus squares of odd-degree Lyndon words."""
     if degree < 1:
         return 0
-    counts = _lyndon_counts(genset, degree)
+    counts = genset.lyndon_counts(degree)
     dim = counts.get(degree, 0)
     if degree % 2 == 0 and (degree // 2) % 2 == 1:
         dim += counts.get(degree // 2, 0)
@@ -774,7 +750,7 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
     Hilbert series, where o_m/e_m are the computed odd/even dimensions."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
-    counts = _lyndon_counts(genset, up_to)
+    counts = genset.lyndon_counts(up_to)
     dims = []
     for m in range(up_to + 1):
         d = counts.get(m, 0)

@@ -13,6 +13,7 @@ from derlie.dermodel import (
     derivation_bracket,
     differential_matrix,
     homology,
+    support_bound,
 )
 from derlie.gradedlie import (
     LieElement,
@@ -325,10 +326,10 @@ def spy_on_slices(monkeypatch) -> list:
     differential_matrix call made inside dermodel."""
     calls = []
     for name in ("derivation_basis", "differential_matrix"):
-        def spy(model, n, k, mode=Mode.POINTED, _name=name,
+        def spy(model, n, k, mode=Mode.POINTED, block=False, _name=name,
                 _real=getattr(dermodel, name)):
             calls.append((_name, k))
-            return _real(model, n, k, mode)
+            return _real(model, n, k, mode, **dermodel._flag(block))
         monkeypatch.setattr(dermodel, name, spy)
     return calls
 
@@ -514,3 +515,109 @@ def test_half_omega_keeps_its_kernel(cp2):
             sl = derivation_basis(cp2, n, k, Mode.BOUNDARY)
             old = kernel_basis(_fraction_omega_constraint(cp2, n, k))
             assert sl.basis == old, (n, k)
+
+
+# ---- the support split ----------------------------------------------------------
+
+def support(genset, coord) -> frozenset:
+    """Summands of g and of the letters of e, for the coordinate (g -> e)."""
+    gid, elem = coord
+    return frozenset(genset.summand(g) for g in (gid, *elem.word))
+
+
+def local_supports(sl) -> list:
+    """The one support of each local basis vector of a slice."""
+    if sl.mode is Mode.POINTED:
+        return [support(sl.genset, c) for c in sl.coords]
+    out = []
+    for v in sl.basis.vectors:
+        supports = {support(sl.genset, sl.coords[j]) for j in v}
+        assert len(supports) == 1, (sl, supports)
+        out.append(supports.pop())
+    return out
+
+
+@pytest.mark.parametrize("name,mode", [("product_model", Mode.POINTED),
+                                       ("cp3", Mode.POINTED),
+                                       ("cp3", Mode.BOUNDARY)])
+def test_delta_and_boundary_bases_keep_the_support(request, name, mode):
+    # every boundary kernel vector lies in one support, and delta maps a
+    # vector of support S to vectors of support S
+    model = request.getfixturevalue(name)
+    entries = 0
+    for n in range(1, 5):
+        for k in range(1, 4):
+            delta = differential_matrix(model, n, k, mode)
+            src = local_supports(derivation_basis(model, n, k, mode))
+            tgt = local_supports(derivation_basis(model, n, k - 1, mode))
+            for j, col in enumerate(delta.columns()):
+                for i in col:
+                    assert tgt[i] == src[j], (n, k, i, j)
+                    entries += 1
+    assert entries > 400
+
+
+@pytest.mark.parametrize("name", BOUNDARY_MODELS)
+def test_block_kernel_matches_the_count(request, name):
+    # the count is the block's pointed dimension minus the elements of
+    # L_{d-2+k} that use every summand, by inclusion-exclusion
+    model = request.getfixturevalue(name)
+    checked = 0
+    for n in range(1, 5):
+        for k in range(4):
+            full = derivation_basis(model, n, k, Mode.POINTED)
+            if full.pointed_dim > 3000:
+                continue
+            sl = derivation_basis(model, n, k, Mode.BOUNDARY, block=True)
+            assert [c for c in full.coords
+                    if len(support(full.genset, c)) == n] == sl.coords
+            assert sl.basis.dim == sl.dim, (n, k)
+            checked += 1
+    assert checked >= 13
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("product_model", Mode.POINTED), ("cp3", Mode.POINTED),
+    ("cp3", Mode.BOUNDARY), ("s2xs2", Mode.BOUNDARY)])
+def test_block_dimensions_sum_to_the_full_cell(request, name, mode):
+    from derlie.cli import _compute_cell
+    model = request.getfixturevalue(name)
+    for n in range(1, 5):
+        for k in (1, 2):
+            assert _compute_cell(model, mode, n, k, False)["dim"] == \
+                homology(model, n, k, mode).dimension, (n, k)
+
+
+@pytest.mark.parametrize("name,mode,ks", [
+    ("sphere2", Mode.POINTED, (1, 2, 3)), ("sphere4", Mode.POINTED, (1, 2, 3)),
+    ("product_model", Mode.POINTED, (1, 2)), ("cp3", Mode.POINTED, (1,)),
+    ("s2xs2", Mode.BOUNDARY, (1, 2)), ("cp3", Mode.BOUNDARY, (1,))])
+def test_blocks_vanish_above_the_support_bound(request, name, mode, ks):
+    # a block lists the whole slice of its arity, so the degrees stay small
+    model = request.getfixturevalue(name)
+    for k in ks:
+        bound = support_bound(model, k)
+        above = derivation_basis(model, bound + 1, k, mode, block=True)
+        assert above.pointed_dim == 0, k
+        assert homology(model, bound + 1, k, mode, block=True).dimension \
+            == 0, k
+
+
+def test_dimensions_build_no_full_differential(monkeypatch):
+    from derlie.cli import EXIT_OK, JobSpec, run
+    for fn in (derivation_basis, differential_matrix, homology):
+        fn.cache_clear()
+    calls = []
+    real = dermodel.differential_matrix
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("block", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dermodel, "differential_matrix", spy)
+    report, code = run(JobSpec(model_path="s3xs3-product", mode=Mode.POINTED,
+                               k_values=(1, 2), n_values=(1, 2, 3, 4)))
+    assert code == EXIT_OK
+    assert [c["dim"] for c in report["cells"]] == [0, 12, 96, 376,
+                                                   0, 4, 12, 24]
+    assert calls and all(calls)

@@ -6,7 +6,8 @@ import pytest
 
 import bruteforce
 from derlie import dermodel, fistab
-from derlie.cli import EXIT_CHECK_FAILURE, EXIT_OK, JobSpec, load_model, run
+from derlie.cli import (EXIT_CHECK_FAILURE, EXIT_OK, JobSpec, _compute_cell,
+                        load_model, run)
 from derlie.dermodel import (
     Derivation,
     Mode,
@@ -393,18 +394,21 @@ def test_regular_representation_sanity(sphere2):
     assert all(m >= 0 for m in dec.multiplicities.values())
 
 
-# ---- character from traces on Lie slices ---------------------------------------
+# ---- characters from the full-support blocks -------------------------------------
 
-ZERO_DIFFERENTIAL_CELLS = [
+CHARACTER_CELLS = [
     ("sphere2", Mode.POINTED, 5), ("sphere3", Mode.POINTED, 5),
     ("sphere4", Mode.POINTED, 5), ("s2xs2", Mode.POINTED, 4),
     ("cp2", Mode.POINTED, 4), ("s2xs2", Mode.BOUNDARY, 4),
     ("s3xs3", Mode.BOUNDARY, 4), ("cp2", Mode.BOUNDARY, 4),
+    ("product_model", Mode.POINTED, 4), ("cp3", Mode.POINTED, 4),
+    ("cp3", Mode.BOUNDARY, 4),
 ]
 
 
 def matrix_character(model, n, k, mode):
-    """Reference: the diagonal of the action matrix on homology."""
+    """Reference: the diagonal of the action matrix on the full cell's
+    homology."""
     out = {}
     for mu in partitions(n):
         act = sigma_action(cycle_type_representative(mu), model, k, mode)
@@ -413,26 +417,27 @@ def matrix_character(model, n, k, mode):
 
 
 def spy_on_actions(monkeypatch):
+    """Record (function name, block flag) of every action computed."""
     calls = []
     for name in ("sigma_action", "homology_map"):
         original = getattr(fistab, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
+            calls.append((_name, kwargs.get("block", False)))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(fistab, name, spy)
     return calls
 
 
-@pytest.mark.parametrize("name,mode,n_max", ZERO_DIFFERENTIAL_CELLS)
+@pytest.mark.parametrize("name,mode,n_max", CHARACTER_CELLS)
 def test_trace_character_matches_action_diagonal(request, monkeypatch, name,
                                                  mode, n_max):
     model = request.getfixturevalue(name)
     calls = spy_on_actions(monkeypatch)
     traced = {(n, k): character(model, n, k, mode).values
               for n in range(1, n_max + 1) for k in (1, 2)}
-    assert calls == []
+    assert all(block for _, block in calls)  # no full cell is acted on
     for (n, k), values in traced.items():
         assert values == matrix_character(model, n, k, mode), (n, k)
 
@@ -447,12 +452,12 @@ def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
     homology_map.cache_clear()
     calls = spy_on_actions(monkeypatch)
     chi = character(model, 2, 1, mode)
-    assert "sigma_action" in calls and "homology_map" in calls
+    assert ("sigma_action", True) in calls
+    assert ("homology_map", True) in calls
     assert chi((1, 1)) == homology(model, 2, 1, mode).dimension
 
 
-def test_differential_that_vanishes_takes_the_trace_path(tmp_path,
-                                                        monkeypatch):
+def test_differential_that_vanishes_matches_the_plain_model(tmp_path):
     # a odd: [a, [a, a]] = 0 by Jacobi, so d(b) = 0 in the Lie algebra
     text = "name: vanishing\ngenerators:\n  a: 1\n  b: 4\n"
     plain = tmp_path / "plain.model"
@@ -463,10 +468,8 @@ def test_differential_that_vanishes_takes_the_trace_path(tmp_path,
     assert model.differential  # the line is parsed, not dropped
     for n in (1, 2, 3):
         assert free_product_generators(model, n).has_zero_differential
-    calls = spy_on_actions(monkeypatch)
     traced = {(n, k): character(model, n, k).values
               for n in (1, 2, 3) for k in (1, 2)}
-    assert calls == []
     for (n, k), values in traced.items():
         assert values == matrix_character(model, n, k, Mode.POINTED), (n, k)
     reports = []
@@ -480,24 +483,32 @@ def test_differential_that_vanishes_takes_the_trace_path(tmp_path,
 
 
 def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch):
+    # dimensions are counts; a character builds the kernels of its blocks
     for fn in (free_product_generators, omega, derivation_basis,
                differential_matrix, homology, sigma_action, homology_map):
         fn.cache_clear()
     calls = []
 
     def spy(m):
-        calls.append((m.rows, m.cols))
+        calls.append(m.cols)
         return kernel_basis(m)
 
     monkeypatch.setattr(dermodel.ratlinalg, "kernel_basis", spy)
     for n in range(1, 6):
         for k in (1, 2):
-            chi = character(s2xs2, n, k, Mode.BOUNDARY)
-            assert chi((1,) * n) == homology(s2xs2, n, k,
-                                             Mode.BOUNDARY).dimension
+            assert _compute_cell(s2xs2, Mode.BOUNDARY, n, k, False)["dim"] \
+                == homology(s2xs2, n, k, Mode.BOUNDARY).dimension
     assert calls == []
-    derivation_basis(s2xs2, 2, 1, Mode.BOUNDARY).basis
-    assert len(calls) == 1  # the spy does see a kernel that is built
+    for n in range(1, 6):
+        for k in (1, 2):
+            character(s2xs2, n, k, Mode.BOUNDARY)
+    blocks = [derivation_basis(s2xs2, s, k, Mode.BOUNDARY, block=True)
+              for s in range(1, 6) for k in (1, 2)]
+    assert sorted(calls) == sorted(sl.pointed_dim for sl in blocks
+                                   if sl.dim)
+    full = derivation_basis(s2xs2, 2, 1, Mode.BOUNDARY)
+    full.basis
+    assert calls[-1] == full.pointed_dim  # the spy sees a full kernel too
 
 
 def test_each_injection_is_computed_once(monkeypatch):
@@ -527,20 +538,22 @@ def test_each_injection_is_computed_once(monkeypatch):
 
 
 def test_corrupted_trace_is_a_check_failure(monkeypatch):
-    from derlie.gradedlie import GeneratorSet
-    original = GeneratorSet.trace
+    original = fistab.sigma_action
 
-    def corrupted(self, sigma, degree):
-        # +2 on L_2 at n = 3 adds 3 * 2 = 3! at the identity only: one more
-        # copy of the regular representation, so decompose still succeeds
-        value = original(self, sigma, degree)
-        return value + 2 if sigma == tuple(range(len(sigma))) else value
+    def corrupted(sigma, model, k, mode=Mode.POINTED, block=False):
+        # one more on the identity's diagonal of every block; W_1 (x -> [x,x])
+        # is the first the character meets
+        act = original(sigma, model, k, mode, **dermodel._flag(block))
+        if sigma != tuple(range(len(sigma))):
+            return act
+        return SparseMatrix(act.rows, act.cols,
+                            {(i, i): 1 + (i == 0) for i in range(act.rows)})
 
-    monkeypatch.setattr(GeneratorSet, "trace", corrupted)
+    monkeypatch.setattr(fistab, "sigma_action", corrupted)
     report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
                                k_values=(1,), n_values=(3,),
                                decompose=True))
     assert code == EXIT_CHECK_FAILURE
     assert report["status"] == "check-failure"
-    assert "slice traces give dimension 24, homology has 18" in \
-        report["error"]
+    assert "the identity has trace 2 on a block of dimension 1 at (s=1, " \
+        "k=1, pointed)" in report["error"]

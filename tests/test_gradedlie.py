@@ -537,3 +537,24 @@ def test_sign_flip_of_omega_does_not_change_kernels(s2xs2):
             reference = kernels
         else:
             assert kernels == reference
+
+
+def test_lyndon_counts_run_once_per_generator_set_and_degree(monkeypatch):
+    from derlie import gradedlie
+    calls = []
+    real = gradedlie._lyndon_counts
+
+    def spy(genset, up_to):
+        calls.append((id(genset), up_to))
+        return real(genset, up_to)
+
+    monkeypatch.setattr(gradedlie, "_lyndon_counts", spy)
+    model = ModelSpec("two", [("a", 1), ("b", 2)])
+    gensets = [GeneratorSet(model, n) for n in (1, 2, 3)]
+    for _ in range(3):
+        for g in gensets:
+            dims = [lie_dim(g, d) for d in range(1, 7)]
+            assert pbw_series_check(g, 6).ok
+            assert dims == [lie_dim(g, d) for d in range(1, 7)]
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 3 * 6

@@ -114,6 +114,23 @@ def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
     assert generation_check(model, mode, k, range(1, 5)) == expected
 
 
+@pytest.mark.parametrize("name,mode,ks,n_max", [
+    ("product_model", Mode.POINTED, (1, 2), 4),
+    ("s2xs2", Mode.BOUNDARY, (1, 2), 4),
+    ("cp3", Mode.POINTED, (1, 2), 4),
+    ("sphere2", Mode.POINTED, (1, 2, 3), 5)])
+def test_generation_flags_match_the_empty_blocks(request, name, mode, ks,
+                                                 n_max):
+    # the injections [m-1] -> [m] reach exactly the blocks S != [m], so
+    # H_k(m) is generated from below iff the block W_m(k) is zero
+    model = request.getfixturevalue(name)
+    for k in ks:
+        flags = generation_check(model, mode, k, range(1, n_max + 1))
+        for m in range(2, n_max + 1):
+            w = homology(model, m, k, mode, block=True).dimension
+            assert flags[m] == (w == 0), (k, m, w)
+
+
 def test_boundary_report(s2xs2):
     report = stability_report(s2xs2, Mode.BOUNDARY, 1, range(1, 5))
     for n in range(1, 5):
@@ -174,6 +191,21 @@ def test_sphere_k3_stabilizes_at_nine():
         rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
         assert rows == decompose(oracle).padded(), n
     assert report["stability"][0]["stabilized_at"] == 9
+
+
+def test_sphere_k4_stabilizes_at_eleven():
+    # the slice at n = 12 has 597,168 elements; no block above arity 6 is
+    # built, since a coordinate (x -> e) of degree 4 uses at most 6 summands
+    report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
+                               k_values=(4,), n_values=tuple(range(1, 13)),
+                               decompose=True, max_dim=1000000))
+    assert code == EXIT_OK
+    for cell in report["cells"][-2:]:
+        n = cell["n"]
+        oracle = ClassFunction(n, lie_character.character((1,), n, 4))
+        rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
+        assert rows == decompose(oracle).padded(), n
+    assert report["stability"][0]["stabilized_at"] == 11
 
 
 @st.composite
