@@ -31,7 +31,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import comb
@@ -332,40 +331,45 @@ def load_model(path: str) -> ModelSpec:
 # ---- jobs ----------------------------------------------------------------------
 
 
-@dataclass
 class JobSpec:
-    model_path: str
-    mode: Mode
-    k_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    decompose: bool = False
-    check_consistency: bool = False
-    check_generation: bool = False
-    check_pbw: bool = False
-    fmt: str = "table"
-    cache_dir: Optional[str] = None
-    seed: int = 0
-    max_dim: int = 20000
-    workers: int = 1
+    """One `derlie compute` job, validated on construction."""
 
-    def __post_init__(self):
-        if not self.k_values or not self.n_values:
+    def __init__(self, model_path: str, mode: Mode,
+                 k_values: tuple[int, ...], n_values: tuple[int, ...],
+                 decompose: bool = False, check_consistency: bool = False,
+                 check_generation: bool = False, check_pbw: bool = False,
+                 fmt: str = "table", cache_dir: Optional[str] = None,
+                 seed: int = 0, max_dim: int = 20000, workers: int = 1):
+        if not k_values or not n_values:
             raise ValueError("k and n ranges must be nonempty")
-        if min(self.k_values) < 1:
+        if min(k_values) < 1:
             raise ValueError("homological degrees start at k = 1")
-        if min(self.n_values) < 1:
+        if min(n_values) < 1:
             raise ValueError("arities start at n = 1")
-        if self.fmt not in ("table", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.max_dim < 1:
+        if max(k_values) > MAX_VALUE or max(n_values) > MAX_VALUE:
+            raise ValueError(f"k and n values are at most {MAX_VALUE}")
+        if fmt not in ("table", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        if max_dim < 1:
             raise ValueError("max-dim must be positive")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be at least 1")
+        self.model_path, self.mode = model_path, mode
+        self.k_values, self.n_values = k_values, n_values
+        self.decompose, self.check_pbw = decompose, check_pbw
+        self.check_consistency = check_consistency
+        self.check_generation = check_generation
+        self.fmt, self.cache_dir, self.seed = fmt, cache_dir, seed
+        self.max_dim, self.workers = max_dim, workers
 
 
 # No job over a longer range can finish: its n values pass --max-dim only
 # while small, and its k values run past every computable slice.
 MAX_RANGE_VALUES = 10**6
+# Larger k and n values are refused, so that pricing a cell stays fast: the
+# Lyndon counts behind the price cost O(k^2), and S_n has p(n) cycle types
+# (p(100) = 190,569,292), far beyond any character that can be listed.
+MAX_VALUE = 100
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -491,12 +495,17 @@ def _cell_worker(args) -> dict:
     return _compute_cell(model, Mode(mode_value), n, k, decompose)
 
 
-def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode) -> int:
+def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
+                    full: bool = False) -> int:
     """Pointed dimension of the slices the cell builds (degrees k and
     k + 1), or the omega target of the top degree in boundary mode when
     larger.  A zero differential needs no boundaries, so only degree k
-    counts."""
-    genset = free_product_generators(model, n)
+    counts.  A cell is built from blocks, each filtered from the slices at
+    its arity s <= support_bound, so the largest such arity is priced; a
+    full cell, which the consistency and generation checks build, is
+    priced at n."""
+    genset = free_product_generators(
+        model, n if full else min(n, support_bound(model, k)))
     top = k if genset.has_zero_differential else k + 1
     cost = sum(lie_dim(genset, genset.degrees[g] + kk)
                for kk in range(k, top + 1)
@@ -515,6 +524,10 @@ def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
     ascending n."""
     ks = sorted(job.k_values)
     for k, n in ((k, n) for k in ks for n in sorted(job.n_values)):
+        cost = _predicted_cost(model, n, k, Mode.BOUNDARY, full=True)
+        if cost > job.max_dim:
+            return {"name": "bracket-closure", "outcome": "skipped",
+                    "detail": f"slice at n={n}, k={k} above max-dim"}
         sl = derivation_basis(model, n, k, Mode.BOUNDARY)
         if sl.dim:
             break
@@ -642,9 +655,12 @@ def run(job: JobSpec) -> tuple[dict, int]:
         return _error_report(job, "validation-error", str(exc)), \
             EXIT_VALIDATION
 
+    full = job.check_consistency or job.check_generation
     for n in job.n_values:
         for k in job.k_values:
-            cost = _predicted_cost(model, n, k, job.mode)
+            cost = _predicted_cost(model, n, k, job.mode, full)
+            if job.decompose:  # a character has one value per cycle type
+                cost = max(cost, reptheory.partition_count(n))
             if cost > job.max_dim:
                 report = _error_report(
                     job, "resource-cap",

@@ -28,7 +28,6 @@ W_s(k) the homology of the block at arity s, which is 0 above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
@@ -328,17 +327,17 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     return SparseMatrix.from_columns(columns, tgt.dim)
 
 
-@dataclass
 class HomologySlice:
-    """Computed homology of one derivation-complex degree."""
-    model: ModelSpec
-    n: int
-    k: int
-    mode: Mode
-    dimension: int
-    representatives: list[Vector]  # local coordinates in the degree-k slice
-    _quotient: ratlinalg.Quotient
-    _delta: Optional[SparseMatrix]  # None for a zero differential
+    """Computed homology of one derivation-complex degree: representatives
+    in local coordinates of the degree-k slice, and the differential out of
+    it (None for a zero differential)."""
+
+    def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
+                 dimension: int, representatives: list[Vector],
+                 quotient: ratlinalg.Quotient, delta: Optional[SparseMatrix]):
+        self.model, self.n, self.k, self.mode = model, n, k, mode
+        self.dimension, self.representatives = dimension, representatives
+        self._quotient, self._delta = quotient, delta
 
     def reduce(self, local_vec: Mapping[int, Fraction]) -> Vector:
         """Class coordinates of a cycle given in slice coordinates."""

@@ -15,11 +15,10 @@ element when sigma is increasing on the summands of e's word.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import reptheory
 from .dermodel import (DerSlice, Mode, _flag, derivation_basis, homology,
@@ -32,23 +31,22 @@ class NotAChainMap(Exception):
     """A homology representative mapped to a non-cycle."""
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple("Injection", [("source", int), ("target", int),
+                                          ("image", tuple[int, ...])])):
     """An injective map of summand index sets, zero-based."""
-    source: int
-    target: int
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source < 0 or self.target < self.source:
+    def __new__(cls, source: int, target: int, image: tuple[int, ...]):
+        if source < 0 or target < source:
             raise ValueError("need 0 <= source <= target")
-        if len(self.image) != self.source:
+        if len(image) != source:
             raise ValueError("image must list one target per source index")
-        if len(set(self.image)) != self.source:
+        if len(set(image)) != source:
             raise ValueError("map is not injective")
-        for t in self.image:
-            if not (0 <= t < self.target):
+        for t in image:
+            if not (0 <= t < target):
                 raise ValueError(f"target index {t} out of range")
+        return super().__new__(cls, source, target, image)
 
     @classmethod
     def standard(cls, n: int, m: int) -> "Injection":

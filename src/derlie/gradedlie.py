@@ -18,11 +18,10 @@ words are Lyndon and is fixed once and for all.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .ratlinalg import SparseMatrix, SpanSolver, add_scaled, inverse
 
@@ -148,10 +147,10 @@ class ModelSpec:
         return f"ModelSpec({self.name!r}, {len(self.generators)} generators)"
 
 
-@dataclass(frozen=True, order=True)
-class LieBasisElement:
+class LieBasisElement(NamedTuple):
     """A Lyndon word with its standard bracketing, or the square [w,w] of a
-    Lyndon word w of odd total degree."""
+    Lyndon word w of odd total degree.  A tuple, so that hashing and
+    ordering (by square, then word) run in C."""
     square: bool
     word: Word
 
@@ -738,8 +737,7 @@ def tensor_hilbert_series(genset: GeneratorSet, up_to: int) -> list[int]:
     return g
 
 
-@dataclass(frozen=True)
-class PbwReport:
+class PbwReport(NamedTuple):
     ok: bool
     first_failure: Optional[int]
     up_to: int

@@ -4,7 +4,6 @@ bookkeeping, and the stability and generation reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -35,6 +34,15 @@ def partitions(n: int) -> list[Partition]:
                 yield (p,) + rest
 
     return list(gen(n, n))
+
+
+def partition_count(n: int) -> int:
+    """len(partitions(n)), without listing them."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -112,16 +120,14 @@ def class_size(mu: Partition) -> int:
     return factorial(sum(mu)) // z_order(mu)
 
 
-@dataclass
 class ClassFunction:
     """A function on conjugacy classes of the symmetric group on n letters,
     given by cycle type."""
-    n: int
-    values: dict[Partition, Fraction]
 
-    def __post_init__(self):
-        expected = set(partitions(self.n))
-        given = set(self.values)
+    def __init__(self, n: int, values: dict[Partition, Fraction]):
+        self.n, self.values = n, values
+        expected = set(partitions(n))
+        given = set(values)
         if given != expected:
             missing = expected - given
             raise ValueError(f"class function must cover all cycle types; "
@@ -138,11 +144,11 @@ class ClassFunction:
         return self.values[(1,) * self.n] if self.n else Fraction(1)
 
 
-@dataclass
 class Decomposition:
     """Multiplicities of the irreducibles in a genuine representation."""
-    n: int
-    multiplicities: dict[Partition, int]
+
+    def __init__(self, n: int, multiplicities: dict[Partition, int]):
+        self.n, self.multiplicities = n, multiplicities
 
     @property
     def dim(self) -> int:
@@ -190,19 +196,20 @@ def pad(lam_bar: Partition, n: int) -> Partition:
     return (head,) + tuple(lam_bar)
 
 
-@dataclass
 class StabilityReport:
     """Per-arity decompositions in padded coordinates with a stabilization
     verdict over the computed range.  The verdict is evidence about the
     computed window, never a proof."""
-    model_name: str
-    mode: str
-    k: int
-    n_values: tuple[int, ...]
-    dimensions: dict[int, int]
-    padded_rows: dict[int, dict[Partition, int]]
-    stabilized_at: Optional[int]
-    generation: Optional[dict[int, bool]] = None
+
+    def __init__(self, model_name: str, mode: str, k: int,
+                 n_values: tuple[int, ...], dimensions: dict[int, int],
+                 padded_rows: dict[int, dict[Partition, int]],
+                 stabilized_at: Optional[int],
+                 generation: Optional[dict[int, bool]] = None):
+        self.model_name, self.mode, self.k = model_name, mode, k
+        self.n_values, self.dimensions = n_values, dimensions
+        self.padded_rows, self.stabilized_at = padded_rows, stabilized_at
+        self.generation = generation
 
     @property
     def stabilized(self) -> bool:

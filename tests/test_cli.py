@@ -136,6 +136,36 @@ def test_huge_range_is_a_usage_error(capsys, flag):
     assert lines[0].startswith("usage error:") and "1..99999999999" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("sphere2", "--k", "99999999999999999999", "--n", "1"),
+    ("sphere2", "--k", "1", "--n", "99999999999999999999"),
+    ("sphere2", "--k", "3000", "--n", "1..2"),
+    ("sphere2", "--k", "1", "--n", "10000000"),
+    ("s2xs2", "--mode", "boundary", "--k", "99999999999999999999", "--n", "1"),
+    ("cp3", "--mode", "boundary", "--k", "100", "--n", "1..2"),
+    ("sphere2", "--k", "1", "--n", "100", "--decompose"),
+])
+def test_huge_value_exits_cleanly(argv):
+    # pricing such a cell took seconds, or never returned
+    import derlie
+    from derlie.cli import MAX_VALUE
+    src = str(Path(derlie.__file__).resolve().parents[1])
+    code = "import sys, derlie.cli; sys.exit(derlie.cli.main())"
+    out = subprocess.run(
+        [sys.executable, "-c", code, "compute", "--format", "json",
+         "--model", *argv],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    if out.returncode == EXIT_VALIDATION:
+        assert out.stdout == ""
+        assert out.stderr == \
+            f"usage error: k and n values are at most {MAX_VALUE}\n"
+    else:
+        assert out.returncode == EXIT_RESOURCE_CAP, out.stderr
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["status"] == "resource-cap"
+
+
 def test_job_rejects_k_zero():
     with pytest.raises(ValueError):
         JobSpec("sphere2", Mode.POINTED, (0, 1), (1,))
@@ -235,6 +265,31 @@ def test_cost_guard_counts_only_built_slices():
     report, code = run(job(k_values=(1,), n_values=(2,), max_dim=8))
     assert code == EXIT_OK
     assert report["cells"][0]["dim"] == 6
+    # a cell is built from blocks of arity at most support_bound (3 for
+    # sphere2 at k = 1): the n = 5 cell of dimension 75 builds no slice
+    # larger than the arity-3 one of dimension 18
+    report, code = run(job(k_values=(1,), n_values=(5,), max_dim=18))
+    assert code == EXIT_OK
+    assert report["cells"][0]["dim"] == 75
+    # the generation and consistency checks build the full cells
+    for check in ("check_generation", "check_consistency"):
+        report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
+                               **{check: True}))
+        assert code == EXIT_RESOURCE_CAP
+        assert "(n=5, k=1) too large: predicted dimension 75" in \
+            report["error"]
+    # the sampled bracket-closure slice is a full one (288 at n = 4)
+    report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                           k_values=(1,), n_values=(4, 5), max_dim=200))
+    assert code == EXIT_OK
+    assert {"name": "bracket-closure", "outcome": "skipped",
+            "detail": "slice at n=4, k=1 above max-dim"} in report["checks"]
+    # a character has one value per cycle type: p(12) = 77
+    report, code = run(job(k_values=(1,), n_values=(12,), max_dim=76,
+                           decompose=True))
+    assert code == EXIT_RESOURCE_CAP
+    assert "predicted dimension 77" in report["error"]
+    assert run(job(k_values=(1,), n_values=(12,), max_dim=76))[1] == EXIT_OK
     # nonzero differential: degrees k and k + 1 are both built
     model = load_model("s3xs3-product")
     assert _predicted_cost(model, 2, 1, Mode.POINTED) == 80
@@ -321,11 +376,13 @@ def test_existing_output_kept_until_the_report_is_written(tmp_path,
     assert out.read_bytes().startswith(b"derlie")
 
 
-def test_import_does_not_load_the_process_pool():
+@pytest.mark.parametrize("module", ["concurrent.futures.process",
+                                    "dataclasses", "inspect"])
+def test_import_does_not_load(module):
+    # start-up is most of a small job
     import derlie
     src = str(Path(derlie.__file__).resolve().parents[1])
-    code = ("import sys, derlie.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+    code = f"import sys, derlie.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})

@@ -158,6 +158,28 @@ def test_lyndon_expansions_lead_with_their_own_word(name):
     assert any(sq for _, sq in seen) == any(2 * d <= 7 for d in odd)
 
 
+# ---- LieBasisElement ---------------------------------------------------------
+
+def test_basis_element_hashes_and_sorts_like_its_tuple():
+    elems = [LieBasisElement(True, (0,)), LieBasisElement(False, (0, 1)),
+             LieBasisElement(False, (0,)), LieBasisElement(False, (1,)),
+             LieBasisElement(True, (0, 0, 1))]
+    for e in elems:
+        assert hash(e) == hash((e.square, e.word))
+    assert sorted(elems) == sorted(elems, key=lambda e: (e.square, e.word))
+
+
+def test_basis_element_repr_and_immutability():
+    assert repr(LieBasisElement(False, (0, 2, 1))) == "[0,2,1]"
+    assert repr(LieBasisElement(True, (3,))) == "[[3]]"
+    e = LieBasisElement(False, (0,))
+    with pytest.raises(AttributeError):
+        e.square = True
+    with pytest.raises(TypeError):
+        e[0] = True
+    assert e == LieBasisElement(False, (0,)) and not e.square
+
+
 # ---- bracket -----------------------------------------------------------------
 
 def test_square_bracket_of_odd_generator(sphere2):

@@ -13,6 +13,7 @@ from derlie.reptheory import (
     irr_character,
     irr_dim,
     pad,
+    partition_count,
     partitions,
     stabilization_onset,
     z_order,
@@ -31,6 +32,12 @@ def test_partitions_of_three_order():
 
 def test_partition_count_eight():
     assert len(partitions(8)) == 22
+
+
+def test_partition_count_without_listing():
+    assert [partition_count(n) for n in range(16)] == [
+        len(partitions(n)) for n in range(16)]
+    assert partition_count(100) == 190569292
 
 
 def test_trivial_character_is_one():
