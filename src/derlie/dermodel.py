@@ -15,7 +15,8 @@ The differential is theta -> d o theta - (-1)^k theta o d.  Homology in
 degree k is ker(delta_k)/im(delta_{k+1}); for k = 1 the kernel is taken
 into the materialized degree-0 slice, which implements the positive
 truncation.  When the model's differential is zero, delta = 0 and H_k is
-the degree-k slice: the degree-(k+1) slice is never built.
+the degree-k slice, and when that slice is empty H_k = 0: in both cases
+the degree-(k+1) slice is never built.
 
 The support of a pointed coordinate (g -> e), the summands of g and of e's
 letters, is kept by delta and by theta -> theta(omega) = c [e, g^#].  So a
@@ -254,6 +255,8 @@ def push_local(src: DerSlice, tgt: DerSlice,
     pointed: Vector = {}
     for j, c in src.local_to_pointed(local).items():
         add_scaled(pointed, c, pointed_column(j))
+    if not pointed:
+        return {}
     out = tgt.pointed_to_local(pointed)
     if out is None:
         raise ClosureViolation(
@@ -276,12 +279,19 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
     _require_boundary_data(model, mode)
 
     genset = free_product_generators(model, n)
-    m = genset.base_count
+    m, full = genset.base_count, (1 << n) - 1
+    masks: dict[int, list] = {}  # degree -> (summand bitmask, element)
     coords: list[tuple[int, LieBasisElement]] = []
     for gid in range(genset.count):
-        for elem in lyndon_basis(genset, genset.degrees[gid] + k):
-            if not block or len({gid // m, *(g // m for g in elem.word)}) == n:
-                coords.append((gid, elem))
+        degree = genset.degrees[gid] + k
+        if not block:
+            coords += [(gid, e) for e in lyndon_basis(genset, degree)]
+            continue
+        if degree not in masks:
+            masks[degree] = [(sum({1 << g // m for g in e.word}), e)
+                             for e in lyndon_basis(genset, degree)]
+        bit = 1 << gid // m
+        coords += [(gid, e) for mask, e in masks[degree] if mask | bit == full]
 
     if mode is Mode.BOUNDARY:
         omega(model, n)  # its cycle, invariance and pairing checks run here
@@ -299,19 +309,24 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     src = derivation_basis(model, n, k, mode, **_flag(block))
     tgt = derivation_basis(model, n, k - 1, mode, **_flag(block))
     genset = src.genset
-    if genset.has_zero_differential:
+    # a boundary target counted as 0 with pointed coordinates checks closure
+    if genset.has_zero_differential or not src.dim or not tgt.pointed_dim:
         return SparseMatrix(tgt.dim, src.dim)
     sign = -1 if k % 2 else 1
     users: dict[int, list[int]] = {}  # letter g -> generators whose d holds g
     for gid, dvec in genset._diff_tensor.items():
         for g in {g for w in dvec for g in w}:
             users.setdefault(g, []).append(gid)
+    diff_letters = genset._diff_tensor.keys()
 
     @cache
     def pointed_column(j: int) -> Vector:
         """delta of the pointed coordinate j = (g -> e), in pointed target
-        coordinates: d(e) on g, and -(-1)^k theta(dh) on each h."""
+        coordinates: d(e) on g, and -(-1)^k theta(dh) on each h; zero when
+        no letter of e has a d and g is a letter of no dh."""
         g, e = src.coords[j]
+        if g not in users and diff_letters.isdisjoint(e.word):
+            return {}
         col = {tgt.coord_index[(g, x)]: c
                for x, c in genset.differential(e).items()}
         for h in users.get(g, ()):
@@ -357,9 +372,10 @@ def homology(model: ModelSpec, n: int, k: int,
         raise ValueError("homology is reported for degrees k >= 1")
     sl = derivation_basis(model, n, k, mode, **_flag(block))
     delta_k = None
-    if sl.genset.has_zero_differential:
-        # delta = 0: every vector is a cycle and none is a boundary, so no
-        # elimination runs and no degree-(k-1) or (k+1) slice is built
+    if sl.genset.has_zero_differential or not sl.dim:
+        # delta = 0 or an empty slice: every vector is a cycle and none is a
+        # boundary, so no elimination runs and no degree-(k-1) or (k+1)
+        # slice is built
         cycles = SubspaceBasis(sl.dim, [{i: 1} for i in range(sl.dim)],
                                list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])

@@ -324,37 +324,40 @@ class GeneratorSet:
             self._slices[degree] = sl
         return sl
 
-    def _words_of_degree(self, degree: int) -> list[Word]:
+    def _lyndon_words(self, degree: int) -> list[Word]:
+        """Lyndon words of one total degree in lexicographic order, grown as
+        prenecklaces (Fredricksen-Kessler-Maiorana): a letter may extend a
+        prefix of period p only if it is >= the letter p places back, and a
+        complete word is Lyndon when its period is its length."""
         out: list[Word] = []
-        degrees = self.degrees
-        count = self.count
+        degrees, count = self.degrees, self.count
+        word: list[int] = []
 
-        def extend(prefix: list[int], remaining: int):
-            for g in range(count):
+        def extend(remaining: int, period: int):
+            t = len(word)
+            least = word[t - period] if t else 0
+            for g in range(least, count):
                 d = degrees[g]
                 if d > remaining:
                     continue
-                prefix.append(g)
-                if d == remaining:
-                    out.append(tuple(prefix))
-                else:
-                    extend(prefix, remaining - d)
-                prefix.pop()
+                word.append(g)
+                p = period if t and g == least else t + 1
+                if d < remaining:
+                    extend(remaining - d, p)
+                elif p == t + 1:
+                    out.append(tuple(word))
+                word.pop()
 
         if degree >= 1:
-            extend([], degree)
+            extend(degree, 1)
         return out
 
     def _build_slice(self, degree: int) -> _Slice:
-        elements: list[LieBasisElement] = []
-        for w in self._words_of_degree(degree):
-            if _is_lyndon(w):
-                elements.append(LieBasisElement(False, w))
+        elements = [LieBasisElement(False, w)
+                    for w in self._lyndon_words(degree)]
         if degree % 4 == 2:  # squares [w,w] need w of odd total degree
-            half = degree // 2
-            for w in self._words_of_degree(half):
-                if _is_lyndon(w):
-                    elements.append(LieBasisElement(True, w))
+            elements += [LieBasisElement(True, w)
+                         for w in self._lyndon_words(degree // 2)]
         expected = lie_dim(self, degree)
         if len(elements) != expected:
             raise BasisExpressionFailure(

@@ -81,6 +81,8 @@ def _eliminate(row: dict, pivot_row: dict, pivot: Hashable) -> dict:
 def extend_echelon(echelon: dict, row: Mapping[Hashable, Fraction]) -> bool:
     """Reduce row against {pivot key: integer row} and store the rest under
     its least key; False when row was already in the span."""
+    if not row:
+        return False
     r = _to_int_row(row)
     while r:
         p = min(r)

@@ -163,11 +163,12 @@ def decompose(chi: ClassFunction) -> Decomposition:
     """Inner products with the irreducible characters.  A negative or
     fractional multiplicity certifies a corrupted upstream computation."""
     n = chi.n
+    # <chi, chi_lam> = sum over mu of |class mu| chi(mu) chi_lam(mu) / n!
+    weighted = [(mu, class_size(mu) * chi(mu)) for mu in partitions(n)]
     mult: dict[Partition, int] = {}
-    for lam in partitions(n):
-        total = Fraction(0)
-        for mu in partitions(n):
-            total += Fraction(chi(mu), z_order(mu)) * irr_character(lam, mu)
+    for lam, _ in weighted:
+        total = Fraction(sum(w * irr_character(lam, mu) for mu, w in weighted),
+                         factorial(n))
         if total.denominator != 1 or total < 0:
             raise NotARepresentation(
                 f"multiplicity of {lam} is {total}; the class function is "

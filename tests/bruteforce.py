@@ -74,24 +74,39 @@ def express_in(basis_rows, pivots, vec):
 
 # ---- tensor algebra on weighted alphabets ------------------------------------
 
-def words_of_degree(degrees, target):
+def words_of_degree(degrees, target, keep=None):
     """All words over range(len(degrees)) of the given total degree, in
-    lexicographic order."""
+    lexicographic order; with keep, only those it accepts."""
     out = []
 
     def extend(prefix, remaining):
         for g, d in enumerate(degrees):
-            if d > remaining:
-                continue
-            prefix.append(g)
-            if d == remaining:
-                out.append(tuple(prefix))
-            else:
-                extend(prefix, remaining - d)
-            prefix.pop()
+            if d < remaining:
+                extend(prefix + (g,), remaining - d)
+            elif d == remaining:
+                word = prefix + (g,)
+                if keep is None or keep(word):
+                    out.append(word)
 
     if target >= 1:
-        extend([], target)
+        extend((), target)
+    return out
+
+
+def is_lyndon(word):
+    """Strictly smaller than each of its proper suffixes."""
+    return min(word) == word[0] and all(word < word[i:]
+                                        for i in range(1, len(word)))
+
+
+def super_lyndon_listing(degrees, degree):
+    """The super-Lyndon basis of one total degree by generate-and-test, as
+    (square, word) pairs: every word of the degree that is Lyndon, then
+    [w,w] for each Lyndon word w of the odd half degree."""
+    out = [(False, w) for w in words_of_degree(degrees, degree, is_lyndon)]
+    if degree % 4 == 2:
+        out += [(True, w) for w in words_of_degree(degrees, degree // 2,
+                                                   is_lyndon)]
     return out
 
 

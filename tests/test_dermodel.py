@@ -13,6 +13,7 @@ from derlie.dermodel import (
     derivation_bracket,
     differential_matrix,
     homology,
+    push_local,
     support_bound,
 )
 from derlie.gradedlie import (
@@ -358,6 +359,60 @@ def test_nonzero_differential_homology_builds_next_degree(
         assert ("differential_matrix", k + 1) in calls
 
 
+def test_empty_block_builds_no_neighbour_or_differential(product_model,
+                                                         monkeypatch):
+    # the (4, 2) block is empty while its degree-3 neighbour is not
+    assert derivation_basis(product_model, 4, 2, block=True).pointed_dim == 0
+    assert derivation_basis(product_model, 4, 3, block=True).pointed_dim > 0
+    calls = spy_on_slices(monkeypatch)
+    h = homology.__wrapped__(product_model, 4, 2, Mode.POINTED, block=True)
+    assert h.dimension == 0
+    assert calls == [("derivation_basis", 2)]
+
+
+def reference_column(src, tgt):
+    """The pointed column of delta at j, from d o theta - (-1)^k theta o d on
+    the basis derivation, dead or not."""
+    genset, k = src.genset, src.k
+    sign = -1 if k % 2 else 1
+
+    def pointed_column(j):
+        theta = src.pointed_to_derivation({j: 1})
+        values = {h: apply_differential(genset, theta.value(h))
+                  - apply_derivation(theta, genset.differential_of(h)
+                                     ).scale(sign)
+                  for h in range(genset.count)}
+        return tgt.derivation_to_pointed(Derivation(genset, k - 1, values))
+
+    return pointed_column
+
+
+def test_differential_skips_dead_columns_exactly(cp3):
+    # a pointed column (g -> e) is dead when no letter of e has a d and g is
+    # a letter of no dh: in cp3, g a copy of b and e a word in the a's.  The
+    # omega constraint keeps dead and live coordinates apart, so a vector
+    # that mixes them is a combination of basis vectors.
+    mixed = False
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            src = derivation_basis(cp3, n, k, Mode.BOUNDARY)
+            tgt = derivation_basis(cp3, n, k - 1, Mode.BOUNDARY)
+            column = reference_column(src, tgt)
+            reference = SparseMatrix.from_columns(
+                [push_local(src, tgt, column, {i: 1}, "reference")
+                 for i in range(src.dim)], tgt.dim)
+            delta = differential_matrix(cp3, n, k, Mode.BOUNDARY)
+            assert delta == reference, (n, k)
+            local = {i: i + 1 for i in range(src.dim)}
+            assert delta.apply(local) == \
+                push_local(src, tgt, column, local, "reference"), (n, k)
+            support = src.local_to_pointed(local).keys()
+            dead = {j for j in support if src.coords[j][0] % 2 == 1
+                    and all(x % 2 == 0 for x in src.coords[j][1].word)}
+            mixed |= bool(dead) and dead != support
+    assert mixed
+
+
 def test_truncation_order_is_irrelevant(s2xs2, cp2, product_model):
     # restrict-then-truncate vs truncate-then-restrict at k = 1
     boundary_capable = [(s2xs2, 1), (s2xs2, 2), (cp2, 1), (cp2, 2)]
@@ -615,9 +670,20 @@ def test_dimensions_build_no_full_differential(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dermodel, "differential_matrix", spy)
+    slices = {}  # id -> every DerSlice built, each counted once
+    real_basis = dermodel.derivation_basis
+
+    def basis_spy(*args, **kwargs):
+        sl = real_basis(*args, **kwargs)
+        slices[id(sl)] = sl
+        return sl
+
+    monkeypatch.setattr(dermodel, "derivation_basis", basis_spy)
     report, code = run(JobSpec(model_path="s3xs3-product", mode=Mode.POINTED,
                                k_values=(1, 2), n_values=(1, 2, 3, 4)))
     assert code == EXIT_OK
     assert [c["dim"] for c in report["cells"]] == [0, 12, 96, 376,
                                                    0, 4, 12, 24]
     assert calls and all(calls)
+    # an empty block lists no neighbour slice (1962 coordinates if it did)
+    assert sum(sl.dim for sl in slices.values()) <= 1002

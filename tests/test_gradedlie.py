@@ -158,6 +158,30 @@ def test_lyndon_expansions_lead_with_their_own_word(name):
     assert any(sq for _, sq in seen) == any(2 * d <= 7 for d in odd)
 
 
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_prenecklace_slices_match_generate_and_test(name):
+    # the engine grows Lyndon words as prenecklaces; the oracle lists every
+    # word and keeps the Lyndon ones, and the order must agree too
+    model = load_model(name)
+    for n in (1, 2, 3):
+        g = GeneratorSet(model, n)  # not the shared one: its slices are big
+        for degree in range(1, 9):
+            assert g.slice(degree).elements == \
+                bruteforce.super_lyndon_listing(g.degrees, degree), (n, degree)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_prenecklace_slices_match_generate_and_test_on_random_alphabets(
+        degrees, degree):
+    model = ModelSpec("alphabet", [(f"g{i}", d)
+                                   for i, d in enumerate(degrees)])
+    g = GeneratorSet(model, 1)
+    assert g.slice(degree).elements == \
+        bruteforce.super_lyndon_listing(degrees, degree)
+
+
 # ---- LieBasisElement ---------------------------------------------------------
 
 def test_basis_element_hashes_and_sorts_like_its_tuple():
