@@ -26,15 +26,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 from math import comb
 from typing import Optional
+
+# CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib would map
+# OpenSSL's libcrypto, about 3.5 MB of every job's peak RSS, to hash a model
+# file of a few hundred bytes.  hashlib serves a build without it.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import ENGINE_VERSION
 from . import reptheory
@@ -47,6 +56,7 @@ from .dermodel import (
     derivation_bracket,
     homology,
     support_bound,
+    support_sum,
 )
 from .fistab import NotAChainMap, consistency_check, character
 from .gradedlie import (
@@ -289,10 +299,12 @@ def parse_model_text(text: str) -> ModelSpec:
                      ambient, minimal)
 
 
+MODELS_DIR = os.path.join(os.path.dirname(__file__), "models")
+
+
 def bundled_model_names() -> list[str]:
-    root = resources.files("derlie").joinpath("models")
-    return sorted(p.name[:-len(".model")] for p in root.iterdir()
-                  if p.name.endswith(".model"))
+    return sorted(name[:-len(".model")] for name in os.listdir(MODELS_DIR)
+                  if name.endswith(".model"))
 
 
 def resolve_model_path(spec: str) -> tuple[str, bytes]:
@@ -300,10 +312,10 @@ def resolve_model_path(spec: str) -> tuple[str, bytes]:
     if os.path.exists(spec):
         with open(spec, "rb") as fh:
             return spec, fh.read()
-    candidate = resources.files("derlie").joinpath("models",
-                                                   f"{spec}.model")
-    if candidate.is_file():
-        return str(candidate), candidate.read_bytes()
+    candidate = os.path.join(MODELS_DIR, f"{spec}.model")
+    if os.path.isfile(candidate):
+        with open(candidate, "rb") as fh:
+            return candidate, fh.read()
     raise FileNotFoundError(
         f"no model file {spec!r}; bundled models: "
         + ", ".join(bundled_model_names()))
@@ -410,11 +422,11 @@ def _partition_sort_key(p):
 def _cell_key(model_sha: str, mode: Mode, n: int, k: int,
               decompose: bool) -> str:
     blob = f"{model_sha}|{ENGINE_VERSION}|{mode.value}|{n}|{k}|{int(decompose)}"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _checksum(cell: dict) -> str:
-    return hashlib.sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest()
 
 
 def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
@@ -497,21 +509,32 @@ def _cell_worker(args) -> dict:
 
 def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
                     full: bool = False) -> int:
-    """Pointed dimension of the slices the cell builds (degrees k and
-    k + 1), or the omega target of the top degree in boundary mode when
-    larger.  A zero differential needs no boundaries, so only degree k
-    counts.  A cell is built from blocks, each filtered from the slices at
-    its arity s <= support_bound, so the largest such arity is priced; a
-    full cell, which the consistency and generation checks build, is
-    priced at n."""
-    genset = free_product_generators(
-        model, n if full else min(n, support_bound(model, k)))
-    top = k if genset.has_zero_differential else k + 1
-    cost = sum(lie_dim(genset, genset.degrees[g] + kk)
-               for kk in range(k, top + 1)
-               for g in range(genset.count))
-    if mode is Mode.BOUNDARY and model.ambient_dim is not None:
-        cost = max(cost, lie_dim(genset, model.ambient_dim - 2 + top))
+    """Largest pointed dimension of the slices the cell builds at one
+    arity, or of the omega target of its top degree in boundary mode.  A
+    cell is built from blocks, each filtered from the slices at its arity
+    s <= support_bound; a full cell, which the consistency and generation
+    checks build, is priced at n.  Degree k is always built, degree k + 1
+    only for a nonzero differential and a nonempty degree-k block (or full
+    slice), which is counted from Lie dimensions."""
+    def pointed(j, kk):
+        genset = free_product_generators(model, j)
+        return sum(lie_dim(genset, d + kk) for d in genset.degrees)
+
+    def target(j, kk):
+        if mode is Mode.POINTED:
+            return 0
+        return lie_dim(free_product_generators(model, j),
+                       model.ambient_dim - 2 + kk)
+
+    def slice_dim(j):
+        return pointed(j, k) - target(j, k)
+
+    zero_d = free_product_generators(model, 1).has_zero_differential
+    cost = 0
+    for s in ((n,) if full else range(1, min(n, support_bound(model, k)) + 1)):
+        top = k if zero_d or not support_sum(s, slice_dim, not full) else k + 1
+        cost = max(cost, target(s, top),
+                   sum(pointed(s, kk) for kk in range(k, top + 1)))
     return cost
 
 
@@ -519,9 +542,9 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
 
 
 def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
-    """Seeded random derivation brackets stay inside the boundary
-    subcomplex, sampled at the first nonempty slice in ascending k, then
-    ascending n."""
+    """Seeded random derivation brackets annihilate omega, so stay inside
+    the boundary subcomplex (the kernel of theta -> theta(omega)); sampled
+    at the first nonempty slice in ascending k, then ascending n."""
     ks = sorted(job.k_values)
     for k, n in ((k, n) for k in ks for n in sorted(job.n_values)):
         cost = _predicted_cost(model, n, k, Mode.BOUNDARY, full=True)
@@ -535,26 +558,15 @@ def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
         degrees = f"{ks[0]}" if len(ks) == 1 else f"{ks[0]}..{ks[-1]}"
         return {"name": "bracket-closure", "outcome": "skipped",
                 "detail": f"degree-{degrees} slice empty at every n"}
-    genset = free_product_generators(model, n)
-    predicted = sum(lie_dim(genset, genset.degrees[g] + 2 * k)
-                    for g in range(genset.count))
-    if predicted > job.max_dim:
-        return {"name": "bracket-closure", "outcome": "skipped",
-                "detail": "target slice above max-dim"}
     rng = random.Random(job.seed)
-    target = derivation_basis(model, n, 2 * k, Mode.BOUNDARY)
     w = omega(model, n)
     samples = min(5, sl.dim * sl.dim)
     for _ in range(samples):
         a = sl.basis_derivation(rng.randrange(sl.dim))
         b = sl.basis_derivation(rng.randrange(sl.dim))
-        br = derivation_bracket(a, b)
-        if not apply_derivation(br, w).is_zero():
+        if not apply_derivation(derivation_bracket(a, b), w).is_zero():
             return {"name": "bracket-closure", "outcome": "fail",
                     "detail": f"bracket image misses omega kernel at n={n}"}
-        if target.pointed_to_local(target.derivation_to_pointed(br)) is None:
-            return {"name": "bracket-closure", "outcome": "fail",
-                    "detail": f"bracket left the subcomplex at n={n}"}
     return {"name": "bracket-closure", "outcome": "pass",
             "detail": f"{samples} sampled pairs at n={n}, k={k}"}
 
@@ -636,7 +648,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
     except OSError as exc:
         return _error_report(job, "validation-error", str(exc)), \
             EXIT_VALIDATION
-    model_sha = hashlib.sha256(raw).hexdigest()
+    model_sha = sha256(raw).hexdigest()
     try:
         text = _decode_model(raw)
         model = parse_model_text(text)

@@ -93,11 +93,6 @@ class Derivation:
     def is_zero(self) -> bool:
         return not self.values
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Derivation) and self.genset is other.genset
-                and self.degree == other.degree
-                and self.values == other.values)
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{self.genset.symbol(g)} -> {v}"
                           for g, v in sorted(self.values.items()))
@@ -147,12 +142,10 @@ class DerSlice:
         self.coords = coords
         self.coord_index = {c: i for i, c in enumerate(coords)}
         self.dim = len(coords)
-        if mode is Mode.BOUNDARY:  # for a block, by inclusion-exclusion
+        if mode is Mode.BOUNDARY:
             degree = model.ambient_dim - 2 + k
-            self.dim -= sum(
-                (-1) ** (n - j) * comb(n, j)
-                * lie_dim(free_product_generators(model, j), degree)
-                for j in (range(1, n + 1) if block else (n,)))
+            self.dim -= support_sum(n, lambda j: lie_dim(
+                free_product_generators(model, j), degree), block)
 
     @property
     def pointed_dim(self) -> int:
@@ -186,13 +179,6 @@ class DerSlice:
                 f"omega constraint kernel has dimension {basis.dim}, the "
                 f"count gives {self.dim} at (n={self.n}, k={k})")
         return basis
-
-    def derivation_to_pointed(self, theta: Derivation) -> Vector:
-        vec: Vector = {}
-        for gid, val in theta.values.items():
-            for elem, c in val.coeffs.items():
-                vec[self.coord_index[(gid, elem)]] = c
-        return vec
 
     def pointed_to_derivation(self, vec: Mapping[int, Fraction]) -> Derivation:
         per_gen: dict[int, dict] = {}
@@ -237,6 +223,13 @@ def _require_boundary_data(model: ModelSpec, mode: Mode) -> None:
 def _flag(block: bool) -> dict:
     """Passes block on; a full cell omits it, to share the memo entry."""
     return {"block": True} if block else {}
+
+
+def support_sum(n: int, dim_at: Callable[[int], int], block: bool) -> int:
+    """dim_at(n), or with block its full-support part, by inclusion-exclusion
+    (the support-S part at arity n is the block at arity |S|)."""
+    return sum((-1) ** (n - j) * comb(n, j) * dim_at(j)
+               for j in (range(1, n + 1) if block else (n,)))
 
 
 def support_bound(model: ModelSpec, k: int) -> int:

@@ -17,11 +17,10 @@ words are Lyndon and is fixed once and for all.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .ratlinalg import SparseMatrix, SpanSolver, add_scaled, inverse
 
@@ -91,15 +90,10 @@ class ModelSpec:
                              for a, b, c in (pairing or ()))
         self.ambient_dim = ambient_dim
         self.minimal = minimal
-        self.key = self._content_key()
-
-    def _content_key(self) -> str:
-        parts = [self.name, repr(self.generators),
-                 repr(sorted((s, _expr_text(t))
-                             for s, t in self.differential.items())),
-                 repr(self.pairing), repr(self.ambient_dim),
-                 repr(self.minimal)]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()
+        self.key = (name, self.generators,
+                    tuple(sorted((s, _expr_text(t))
+                                 for s, t in self.differential.items())),
+                    self.pairing, ambient_dim, minimal)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -366,23 +360,22 @@ class GeneratorSet:
         return _Slice(self, elements)
 
     def expansion(self, elem: LieBasisElement) -> TensorVector:
+        """Tensor expansion of a letter, of [w, w], or of the standard
+        bracketing [u, v] of a longer Lyndon word w = uv; memoized above
+        one letter, so each Lyndon factor u, v is expanded once."""
+        word = elem.word
+        if len(word) == 1 and not elem.square:
+            return {word: 1}
         cached = self._expansion_cache.get(elem)
         if cached is None:
-            if elem.square:
-                inner = self.expansion(LieBasisElement(False, elem.word))
-                d = self.word_degree(elem.word)
-                cached = tensor_commutator(inner, inner, d, d)
-            else:
-                cached = self._expand_word(elem.word)
+            u, v = (word, word) if elem.square else \
+                _standard_factorization(word)
+            cached = tensor_commutator(
+                self.expansion(LieBasisElement(False, u)),
+                self.expansion(LieBasisElement(False, v)),
+                self.word_degree(u), self.word_degree(v))
             self._expansion_cache[elem] = cached
         return cached
-
-    def _expand_word(self, word: Word) -> TensorVector:
-        if len(word) == 1:
-            return {word: 1}
-        u, v = _standard_factorization(word)
-        return tensor_commutator(self._expand_word(u), self._expand_word(v),
-                                 self.word_degree(u), self.word_degree(v))
 
     def lyndon_counts(self, up_to: int) -> dict[int, int]:
         """Memoized _lyndon_counts(self, up_to)."""

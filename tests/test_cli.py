@@ -216,20 +216,21 @@ def test_cli_boundary_without_pairing_is_one_error_line(capsys):
     assert "Traceback" not in captured.out
 
 
+def forget_slices():
+    from derlie.dermodel import derivation_basis, differential_matrix, homology
+    from derlie.fistab import homology_map, sigma_action
+    for fn in (derivation_basis, differential_matrix, homology, homology_map,
+               sigma_action):
+        fn.cache_clear()
+
+
 @pytest.fixture
 def fresh_slices():
     """Forget memoized slices before and after, so a patched count neither
     meets an old slice nor leaves one behind."""
-    from derlie.dermodel import derivation_basis, homology
-    from derlie.fistab import homology_map, sigma_action
-
-    def clear():
-        for fn in (derivation_basis, homology, homology_map, sigma_action):
-            fn.cache_clear()
-
-    clear()
+    forget_slices()
     yield
-    clear()
+    forget_slices()
 
 
 def test_wrong_boundary_count_is_a_check_failure(monkeypatch, fresh_slices):
@@ -259,7 +260,27 @@ def test_run_missing_model(tmp_path, case):
     assert report["status"] == status
 
 
-def test_cost_guard_counts_only_built_slices():
+def largest_listed(monkeypatch, spec) -> int:
+    """Run a one-k job with a spy on dermodel.derivation_basis; the largest
+    pointed dimension of the degree-k and k + 1 slices listed at one arity
+    (a block lists the full slices it filters)."""
+    from derlie import dermodel
+    forget_slices()  # a memo hit would not reach the spy
+    (k,) = spec.k_values
+    real, seen = dermodel.derivation_basis, set()
+
+    def spy(model, n, kk, mode=Mode.POINTED, block=False):
+        seen.add((model, n, kk))
+        return real(model, n, kk, mode, **dermodel._flag(block))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dermodel, "derivation_basis", spy)
+        assert run(spec)[1] == EXIT_OK
+    return max(sum(real(model, n, kk).pointed_dim for kk in (k, k + 1)
+                   if (model, n, kk) in seen) for model, n, _ in seen)
+
+
+def test_cost_guard_counts_only_built_slices(monkeypatch):
     # zero differential: only degree k is built (dim 6; degree k + 1 was
     # counted before, predicting 10)
     report, code = run(job(k_values=(1,), n_values=(2,), max_dim=8))
@@ -297,6 +318,37 @@ def test_cost_guard_counts_only_built_slices():
                            n_values=(2,), max_dim=79))
     assert code == EXIT_RESOURCE_CAP
     assert "predicted dimension 80" in report["error"]
+    # an empty degree-k block builds no degree-(k + 1) slice: the (4, 2)
+    # block of s3xs3-product is empty, so the arity-3 slices of degrees 2
+    # and 3 are the largest listed, not the arity-4 ones (352 + 4,064)
+    spec = job(model_path="s3xs3-product", k_values=(2,),
+               n_values=tuple(range(1, 9)))
+    assert _predicted_cost(model, 8, 2, Mode.POINTED) == 1107
+    assert largest_listed(monkeypatch, spec) == 1107
+    spec.max_dim = 1106
+    assert run(spec)[1] == EXIT_RESOURCE_CAP
+    # in boundary mode the block is counted without omega's image: the
+    # (1, 2) boundary block of cp3 is empty, its 2 pointed coordinates not
+    spec = job(model_path="cp3", mode=Mode.BOUNDARY, k_values=(2,),
+               n_values=(1,))
+    assert _predicted_cost(load_model("cp3"), 1, 2, Mode.BOUNDARY) == 2
+    assert largest_listed(monkeypatch, spec) == 2
+    # the price is never below what a job lists
+    for kw in (dict(k_values=(1,), n_values=(5,)),
+               dict(model_path="s3xs3-product", k_values=(1,),
+                    n_values=(2, 3), check_consistency=True),
+               dict(model_path="s3xs3-product", k_values=(3,),
+                    n_values=(1, 2, 3, 4, 5)),
+               dict(model_path="s2xs2", mode=Mode.BOUNDARY, k_values=(1,),
+                    n_values=(1, 2, 3, 4)),
+               dict(model_path="cp3", mode=Mode.BOUNDARY, k_values=(2,),
+                    n_values=(1, 2, 3), decompose=True)):
+        spec = job(**kw)
+        full = spec.check_consistency
+        price = max(_predicted_cost(load_model(spec.model_path), n,
+                                    spec.k_values[0], spec.mode, full)
+                    for n in spec.n_values)
+        assert largest_listed(monkeypatch, spec) <= price, kw
 
 
 def test_cost_guard_ignores_unreachable_degrees(tmp_path):
@@ -377,16 +429,35 @@ def test_existing_output_kept_until_the_report_is_written(tmp_path,
 
 
 @pytest.mark.parametrize("module", ["concurrent.futures.process",
-                                    "dataclasses", "inspect"])
+                                    "dataclasses", "inspect", "_hashlib",
+                                    "importlib.resources"])
 def test_import_does_not_load(module):
-    # start-up is most of a small job
+    # start-up is most of a small job (OpenSSL's libcrypto, which _hashlib
+    # maps, alone is about 3.5 MB of peak RSS); -S keeps the .pth files of
+    # site-packages from importing a module or hiding one
     import derlie
     src = str(Path(derlie.__file__).resolve().parents[1])
     code = f"import sys, derlie.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_digests_match_hashlib(name):
+    import hashlib
+    from derlie import ENGINE_VERSION, cli as climod
+    _, raw = climod.resolve_model_path(name)
+    digest = hashlib.sha256(raw).hexdigest()
+    report, _ = run(job(model_path=name, k_values=(1,), n_values=(1,)))
+    assert report["model"]["sha256"] == digest
+    blob = f"{digest}|{ENGINE_VERSION}|pointed|1|1|0".encode()
+    assert climod._cell_key(digest, Mode.POINTED, 1, 1, False) == \
+        hashlib.sha256(blob).hexdigest()
+    cell = report["cells"][0]
+    assert climod._checksum(cell) == hashlib.sha256(
+        json.dumps(cell, sort_keys=True).encode()).hexdigest()
 
 
 def test_run_resource_cap():
@@ -615,6 +686,35 @@ def test_closure_check_moves_on_to_the_next_degree():
     assert _closure_check(report) == {
         "name": "bracket-closure", "outcome": "pass",
         "detail": "5 sampled pairs at n=2, k=2"}
+
+
+def test_closure_check_builds_no_second_kernel():
+    # the degree-4 target slice at n = 2 (816) is above max-dim, but only
+    # the sampled degree-2 slice and its kernel are built
+    report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                           k_values=(2,), n_values=(2,), max_dim=500))
+    assert code == EXIT_OK
+    assert _closure_check(report) == {
+        "name": "bracket-closure", "outcome": "pass",
+        "detail": "5 sampled pairs at n=2, k=2"}
+
+
+def test_closure_check_fails_outside_the_omega_kernel(monkeypatch):
+    from derlie import cli as climod
+    from derlie.dermodel import apply_derivation, derivation_basis
+    from derlie.gradedlie import omega
+    model = load_model("s2xs2")
+    # a pointed coordinate (g -> e) sends omega to a nonzero [e, g^#]
+    outside = derivation_basis(model, 1, 2).pointed_to_derivation({0: 1})
+    assert not apply_derivation(outside, omega(model, 1)).is_zero()
+    monkeypatch.setattr(climod, "derivation_bracket", lambda a, b: outside)
+    report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                           k_values=(1,), n_values=(1, 2)))
+    assert code == EXIT_CHECK_FAILURE
+    assert report["status"] == "check-failure"
+    assert _closure_check(report) == {
+        "name": "bracket-closure", "outcome": "fail",
+        "detail": "bracket image misses omega kernel at n=1"}
 
 
 def test_closure_check_skipped_when_every_slice_is_empty():

@@ -63,7 +63,10 @@ def tensor_route_slice_map(inj, model, k, mode=Mode.POINTED):
     columns = []
     for i in range(src.dim):
         theta = tensor_route_relabel(src.basis_derivation(i), inj, tgt.genset)
-        local = tgt.pointed_to_local(tgt.derivation_to_pointed(theta))
+        local = tgt.pointed_to_local({
+            tgt.coord_index[(gid, elem)]: c
+            for gid, val in theta.values.items()
+            for elem, c in val.coeffs.items()})
         assert local is not None, "image left the boundary slice"
         columns.append(local)
     return SparseMatrix.from_columns(columns, tgt.dim)

@@ -158,6 +158,30 @@ def test_lyndon_expansions_lead_with_their_own_word(name):
     assert any(sq for _, sq in seen) == any(2 * d <= 7 for d in odd)
 
 
+@pytest.mark.parametrize("name", ["s2xs2", "cp3", "s3xs3-product"])
+def test_each_lyndon_word_is_bracketed_once(name, monkeypatch):
+    # the standard factors u, v of a Lyndon word are Lyndon, so its
+    # expansion reuses theirs: one commutator per distinct word expanded,
+    # even when the longest words come first
+    from derlie import gradedlie
+    g = GeneratorSet(load_model(name), 3)  # builds its differential here
+    calls = []
+    real = gradedlie.tensor_commutator
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gradedlie, "tensor_commutator", spy)
+    words = set()
+    for degree in range(7, 0, -1):
+        for e in g.slice(degree).elements:
+            if not e.square:
+                assert min(g.expansion(e)) == e.word
+                words.add(e.word)
+    assert len(calls) <= len([w for w in words if len(w) > 1])
+
+
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_prenecklace_slices_match_generate_and_test(name):
     # the engine grows Lyndon words as prenecklaces; the oracle lists every
