@@ -46,9 +46,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import ENGINE_VERSION
-from . import reptheory
 from .dermodel import (
-    ClosureViolation,
     Mode,
     _require_boundary_data,
     apply_derivation,
@@ -58,21 +56,18 @@ from .dermodel import (
     support_bound,
     support_sum,
 )
-from .fistab import NotAChainMap, consistency_check, character
 from .gradedlie import (
-    BasisExpressionFailure,
-    InvarianceFailure,
     ModelSpec,
-    OmegaNotCycle,
-    SingularPairing,
     free_product_generators,
     lie_dim,
     omega,
     pbw_series_check,
     validate_model,
 )
-from .ratlinalg import ContainmentViolation
-from .reptheory import NotARepresentation, PaddingInvalid, pad
+from .ratlinalg import CheckFailure
+
+# fistab and reptheory, the character layer, are imported where a job uses
+# them, so that a dimension-only job does not compile them.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -80,10 +75,6 @@ EXIT_CHECK_FAILURE = 3
 EXIT_RESOURCE_CAP = 4
 
 SCHEMA = "derlie-report/1"
-
-_CHECK_ERRORS = (ContainmentViolation, ClosureViolation, NotAChainMap,
-                 NotARepresentation, BasisExpressionFailure, OmegaNotCycle,
-                 InvarianceFailure, SingularPairing)
 
 
 class ParseError(Exception):
@@ -118,9 +109,9 @@ def _tokenize(text: str, line: int) -> list[tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # int() refuses digits such as '²'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -230,7 +221,7 @@ def parse_model_text(text: str) -> ModelSpec:
     differential: dict[str, list] = {}
     pairing: list[tuple[str, str, Fraction]] = []
     section = None
-    seen_sections = set()
+    seen = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -246,13 +237,13 @@ def parse_model_text(text: str) -> ModelSpec:
             key, _, value = stripped.partition(":")
             key = key.strip()
             value = value.strip()
+            if key in seen:
+                raise ParseError(f"duplicate field {key!r}", lineno)
+            seen.add(key)
             if key in ("generators", "differential", "pairing"):
                 if value:
                     raise ParseError(f"section header {key!r} takes no value",
                                      lineno)
-                if key in seen_sections:
-                    raise ParseError(f"duplicate section {key!r}", lineno)
-                seen_sections.add(key)
                 section = key
             elif key == "name":
                 name = value
@@ -280,8 +271,12 @@ def parse_model_text(text: str) -> ModelSpec:
                 degree = int(value)
             except ValueError:
                 raise ParseError(f"bad generator degree {value!r}", lineno)
+            if [tok[:2] for tok in _tokenize(key, lineno)] != [("sym", key)]:
+                raise ParseError(f"bad generator symbol {key!r}", lineno)
             generators.append((key, degree))
         elif section == "differential":
+            if key in differential:
+                raise ParseError(f"second differential of {key!r}", lineno)
             differential[key] = parse_bracket_expression(value, lineno)
         else:  # pairing
             syms = key.split()
@@ -473,6 +468,8 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
               for s in range(1, min(n, support_bound(model, k)) + 1))
     cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
+        from . import reptheory
+        from .fistab import character
         chi = character(model, n, k, mode)
         dec = reptheory.decompose(chi)
         by_partition = lambda kv: _partition_sort_key(kv[0])
@@ -492,13 +489,49 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
 def _is_cell(entry: Optional[dict], mode: Mode, n: int, k: int,
              decompose: bool) -> bool:
     """Whether a cache entry holds exactly the fields _compute_cell writes
-    for this cell; anything else is a miss and gets rewritten."""
+    for this cell, each in the form it writes; anything else is a miss and
+    gets rewritten."""
     fields = {"mode", "n", "k", "dim"}
     if decompose:
         fields |= {"character", "decomposition", "padded"}
-    return (entry is not None and entry.keys() == fields
+    if not (entry is not None and entry.keys() == fields
             and (entry["mode"], entry["n"], entry["k"]) == (mode.value, n, k)
-            and type(entry["dim"]) is int and entry["dim"] >= 0)
+            and _is_count(entry["dim"])):
+        return False
+    if not decompose:
+        return True
+    chi, dec, padded = (entry[f] for f in ("character", "decomposition",
+                                           "padded"))
+    return (all(isinstance(t, dict) for t in (chi, dec, padded))
+            and all(_is_partition(mu, n) and _is_rational(v)
+                    for mu, v in chi.items())
+            and all(_is_partition(lam) and _is_count(m)
+                    for lam, m in [*dec.items(), *padded.items()]))
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_rational(text) -> bool:
+    """Whether text is the str of a Fraction."""
+    if type(text) is not str or \
+            not text.removeprefix("-").replace("/", "", 1).isdigit():
+        return False  # before Fraction, which would expand "1e999999999"
+    try:
+        return str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _is_partition(text: str, n: Optional[int] = None) -> bool:
+    """Whether text is the partition_str of a partition (of n, if given)."""
+    try:
+        p = partition_from_str(text)
+    except ValueError:
+        return False
+    return (partition_str(p) == text and all(x > 0 for x in p)
+            and list(p) == sorted(p, reverse=True) and n in (None, sum(p)))
 
 
 def _cell_worker(args) -> dict:
@@ -594,6 +627,7 @@ def _run_checks(model: ModelSpec, job: JobSpec,
                                  "series identity up to degree 8"})
 
     if job.check_consistency:
+        from .fistab import consistency_check
         failures = []
         count = 0
         for m in job.n_values:
@@ -610,6 +644,7 @@ def _run_checks(model: ModelSpec, job: JobSpec,
                                  f"{count} stabilizer checks"})
 
     if job.check_generation:
+        from . import reptheory
         flags = {}
         for k in job.k_values:
             table = reptheory.generation_check(model, job.mode, k,
@@ -620,6 +655,7 @@ def _run_checks(model: ModelSpec, job: JobSpec,
                        "flags": flags})
 
     if job.decompose:
+        from . import reptheory
         ns = sorted(job.n_values)
         for k in job.k_values:
             rows = {c["n"]: {partition_from_str(s): m
@@ -668,11 +704,13 @@ def run(job: JobSpec) -> tuple[dict, int]:
             EXIT_VALIDATION
 
     full = job.check_consistency or job.check_generation
+    if job.decompose:
+        from .reptheory import partition_count
     for n in job.n_values:
         for k in job.k_values:
             cost = _predicted_cost(model, n, k, job.mode, full)
             if job.decompose:  # a character has one value per cycle type
-                cost = max(cost, reptheory.partition_count(n))
+                cost = max(cost, partition_count(n))
             if cost > job.max_dim:
                 report = _error_report(
                     job, "resource-cap",
@@ -717,7 +755,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
                 _cache_write(job.cache_dir, key, cell)
                 cells.append(cell)
         checks, stability = _run_checks(model, job, cells)
-    except _CHECK_ERRORS as exc:
+    except CheckFailure as exc:
         report = _error_report(job, "check-failure",
                                f"{type(exc).__name__}: {exc}")
         report["model"] = {"name": model.name, "sha256": model_sha}
@@ -804,6 +842,7 @@ def _render_table(report: dict) -> str:
         lines.append(f"[k={k}]")
         columns: list = []
         if any("padded" in c for c in block):
+            from .reptheory import PaddingInvalid, pad
             names = set()
             for c in block:
                 names.update(partition_from_str(s) for s in c.get("padded",

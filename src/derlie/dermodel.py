@@ -50,7 +50,7 @@ from .gradedlie import (
 from .ratlinalg import SparseMatrix, SubspaceBasis, Vector, add_scaled
 
 
-class ClosureViolation(Exception):
+class ClosureViolation(ratlinalg.CheckFailure):
     """An image left the boundary subcomplex (would contradict d(omega)=0),
     or its kernel basis disagrees with the counted dimension."""
 

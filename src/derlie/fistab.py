@@ -24,10 +24,10 @@ from . import reptheory
 from .dermodel import (DerSlice, Mode, _flag, derivation_basis, homology,
                        push_local, support_bound)
 from .gradedlie import ModelSpec, relabel_basis_element
-from .ratlinalg import SparseMatrix, Vector
+from .ratlinalg import CheckFailure, SparseMatrix, Vector
 
 
-class NotAChainMap(Exception):
+class NotAChainMap(CheckFailure):
     """A homology representative mapped to a non-cycle."""
 
 
@@ -57,13 +57,6 @@ class Injection(NamedTuple("Injection", [("source", int), ("target", int),
         n = len(sigma)
         return cls(n, n, tuple(sigma))
 
-    def compose(self, inner: "Injection") -> "Injection":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ValueError("injections are not composable")
-        return Injection(inner.source, self.target,
-                         tuple(self.image[j] for j in inner.image))
-
 
 def _pushforward(inj: Injection, src: DerSlice, tgt: DerSlice
                  ) -> Callable[[Mapping[int, Fraction]], Vector]:
@@ -85,16 +78,6 @@ def _pushforward(inj: Injection, src: DerSlice, tgt: DerSlice
         return push_local(src, tgt, pointed_column, local, name)
 
     return push
-
-
-def induced_slice_map(inj: Injection, model: ModelSpec, k: int,
-                      mode: Mode = Mode.POINTED) -> SparseMatrix:
-    """Matrix of the extension-by-zero map in local slice coordinates."""
-    src = derivation_basis(model, inj.source, k, mode)
-    tgt = derivation_basis(model, inj.target, k, mode)
-    push = _pushforward(inj, src, tgt)
-    return SparseMatrix.from_columns([push({i: 1}) for i in range(src.dim)],
-                                     tgt.dim)
 
 
 @cache

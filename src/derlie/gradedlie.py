@@ -22,7 +22,8 @@ from functools import cache, cached_property
 from math import comb
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .ratlinalg import SparseMatrix, SpanSolver, add_scaled, inverse
+from .ratlinalg import (CheckFailure, SparseMatrix, SpanSolver, add_scaled,
+                        inverse)
 
 Word = tuple[int, ...]
 TensorVector = dict[Word, Fraction]
@@ -33,19 +34,19 @@ ExprNode = Union[str, tuple]
 ExprTerms = tuple[tuple[Fraction, ExprNode], ...]
 
 
-class BasisExpressionFailure(Exception):
+class BasisExpressionFailure(CheckFailure):
     """A tensor element expected to lie in the Lyndon span did not."""
 
 
-class SingularPairing(Exception):
+class SingularPairing(CheckFailure):
     """The pairing matrix is not invertible."""
 
 
-class OmegaNotCycle(Exception):
+class OmegaNotCycle(CheckFailure):
     """The intersection element is not annihilated by the differential."""
 
 
-class InvarianceFailure(Exception):
+class InvarianceFailure(CheckFailure):
     """The intersection element is not invariant under summand permutations."""
 
 
@@ -286,10 +287,6 @@ class GeneratorSet:
                 out[self.gen_id(i, j)] = shifted
         return out
 
-    def differential_of(self, gid: int) -> LieElement:
-        return LieElement(self.degrees[gid] - 1,
-                          self.differential(LieBasisElement(False, (gid,))))
-
     @property
     def has_zero_differential(self) -> bool:
         return not self._diff_tensor
@@ -402,11 +399,6 @@ class GeneratorSet:
         return LieElement(degree, {sl.elements[i]: c
                                    for i, c in coords.items()})
 
-    def generator_element(self, gid: int) -> LieElement:
-        return LieElement(self.degrees[gid],
-                          {LieBasisElement(False, (gid,)): 1})
-
-
 def _is_lyndon(word: Word) -> bool:
     n = len(word)
     for i in range(1, n):
@@ -510,15 +502,6 @@ def lyndon_basis(genset: GeneratorSet, degree: int) -> list[LieBasisElement]:
     if degree < 1:
         return []
     return list(genset.slice(degree).elements)
-
-
-def bracket(genset: GeneratorSet, u: LieElement, v: LieElement) -> LieElement:
-    """Graded commutator computed in tensor coordinates."""
-    if u.is_zero() or v.is_zero():
-        return LieElement(u.degree + v.degree)
-    vec = tensor_commutator(genset.to_tensor(u), genset.to_tensor(v),
-                            u.degree, v.degree)
-    return genset.from_tensor(u.degree + v.degree, vec)
 
 
 def apply_differential(genset: GeneratorSet, e: LieElement) -> LieElement:

@@ -34,7 +34,12 @@ def add_scaled(acc: dict, c, vec: Mapping) -> dict:
     return acc
 
 
-class ContainmentViolation(Exception):
+class CheckFailure(Exception):
+    """A computed object contradicts an identity the theory guarantees; the
+    base of every error that a job reports as a check failure."""
+
+
+class ContainmentViolation(CheckFailure):
     """Boundaries are not contained in cycles (a d^2 != 0 signal upstream)."""
 
 
@@ -193,16 +198,6 @@ class SparseMatrix:
             cache = self._cols_cached = self.columns()
         return cache
 
-    def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self @ other."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in composition")
-        out = SparseMatrix(self.rows, other.cols)
-        for c, other_col in enumerate(other.columns()):
-            for r, v in self.apply(other_col).items():
-                out._rows[r][c] = v
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._rows == other._rows)
@@ -237,11 +232,6 @@ class SubspaceBasis:
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q by fraction-free elimination."""
-    return len(_echelon(m._rows))
 
 
 def kernel_basis(m: SparseMatrix) -> SubspaceBasis:

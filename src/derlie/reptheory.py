@@ -9,6 +9,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Optional
 
+from .ratlinalg import CheckFailure
+
 Partition = tuple[int, ...]
 
 
@@ -16,7 +18,7 @@ class PaddingInvalid(Exception):
     """The padded name (n - |p|, p) is not a partition for this n."""
 
 
-class NotARepresentation(Exception):
+class NotARepresentation(CheckFailure):
     """A decomposition produced a negative or non-integral multiplicity."""
 
 

@@ -101,6 +101,44 @@ def test_parse_model_rejects_unknown_field(tmp_path):
         parse_model_text("name: x\nfoo: 3\ngenerators:\n  a: 1\n")
 
 
+CP3 = ("name: cp3\nambient_dim: 6\ngenerators:\n  a: 1\n  b: 3\n"
+       "differential:\n  b: 1/2 [a, a]\npairing:\n  a b: 1\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    # a second right-hand side would silently replace the first
+    (CP3.replace("pairing:", "  b: 0 [a, a]\npairing:"), 8),
+    (CP3 + "name: cp3-again\n", 10),
+    (CP3.replace("generators:", "ambient_dim: 6\ngenerators:"), 3),
+    # symbols that no bracket expression can refer to
+    (CP3.replace("  b: 3", "  a b: 3"), 5),
+    (CP3.replace("  b: 3", "  [x]: 3"), 5),
+    (CP3.replace("  b: 3", "  : 3"), 5),
+    (CP3.replace("  b: 3", "  1b: 3"), 5),
+    # int() refuses this digit, so the tokenizer must not take it for one
+    (CP3.replace("1/2 [a, a]", "² [a, a]"), 7),
+], ids=["second-differential", "second-name", "second-ambient-dim",
+        "spaced-symbol", "bracket-symbol", "empty-symbol", "digit-symbol",
+        "superscript-digit"])
+def test_parse_model_rejects_ambiguous_files(tmp_path, capsys, text, line):
+    with pytest.raises(ParseError) as err:
+        parse_model_text(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--model", str(path), "--k", "1", "--n", "1",
+                 "--format", "json"]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "parse-error"
+    assert report["error"].startswith(f"line {line}, ")
+
+
+def test_parse_model_keeps_tokenizer_symbols():
+    model = parse_model_text("name: t\ngenerators:\n  x_1': 1\n  _B2: 3\n"
+                             "differential:\n  _B2: [x_1', x_1']\n")
+    assert model.generators == (("x_1'", 1), ("_B2", 3))
+
+
 def test_parse_model_differential_roundtrip():
     text = ("name: prod\ngenerators:\n  a: 2\n  b: 2\n  c: 5\n"
             "differential:\n  c: [a, b]\n")
@@ -444,6 +482,73 @@ def test_import_does_not_load(module):
     assert out.stdout.strip() == "False"
 
 
+CHARACTER_LAYER = {"derlie.fistab", "derlie.reptheory"}
+
+
+def _isolated_job(argv, out):
+    """The exit code of cli.main(argv + ["--output", out]) in a new
+    interpreter, and the derlie modules it loaded."""
+    import derlie
+    src = str(Path(derlie.__file__).resolve().parents[1])
+    code = ("import sys; from derlie import cli; code = cli.main(sys.argv[1:])"
+            "; print(code, *(m for m in sys.modules if m[:7] == 'derlie.'))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv, "--output", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    exit_code, *modules = proc.stdout.split()
+    return int(exit_code), set(modules)
+
+
+def _same_report_in_process(argv, out, tmp_path):
+    expected = tmp_path / "in-process.out"
+    assert main(argv + ["--workers", "1", "--output", str(expected)]) == \
+        EXIT_OK
+    return out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "s3xs3-product", "--k", "1..2", "--n", "1..4"],
+    ["--model", "s2xs2", "--mode", "boundary", "--k", "1", "--n", "1..5"],
+])
+def test_dimension_only_job_loads_no_character_layer(tmp_path, argv):
+    out = tmp_path / "report.out"
+    code, modules = _isolated_job(["compute", *argv], out)
+    assert code == EXIT_OK
+    assert not modules & CHARACTER_LAYER
+    assert _same_report_in_process(["compute", *argv], out, tmp_path)
+
+
+@pytest.mark.parametrize("flags,loaded", [
+    (["--decompose"], CHARACTER_LAYER),
+    (["--decompose", "--format", "json"], CHARACTER_LAYER),
+    (["--check-consistency"], CHARACTER_LAYER),
+    (["--check-generation"], CHARACTER_LAYER),
+    # the pool's workers load fistab; the job's own process may not
+    (["--decompose", "--workers", "2"], None),
+])
+def test_character_layer_loads_where_a_job_uses_it(tmp_path, flags, loaded):
+    argv = ["compute", "--model", "sphere2", "--k", "1..2", "--n", "1..4",
+            *flags]
+    out = tmp_path / "report.out"
+    code, modules = _isolated_job(argv, out)
+    assert code == EXIT_OK
+    assert loaded is None or modules & CHARACTER_LAYER == loaded
+    assert _same_report_in_process(argv, out, tmp_path)
+
+
+def test_warm_replay_loads_no_fistab(tmp_path):
+    argv = ["compute", "--model", "sphere2", "--k", "1..2", "--n", "1..5",
+            "--decompose", "--cache-dir", str(tmp_path / "cache")]
+    cold, warm = tmp_path / "cold.out", tmp_path / "warm.out"
+    assert main(argv + ["--output", str(cold)]) == EXIT_OK
+    code, modules = _isolated_job(argv, warm)
+    assert code == EXIT_OK
+    assert "derlie.fistab" not in modules
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_digests_match_hashlib(name):
     import hashlib
@@ -562,13 +667,21 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path, monkeypatch):
         raise AssertionError("a warm run must not recompute characters")
 
     monkeypatch.setattr("derlie.fistab.character", no_character)
-    monkeypatch.setattr("derlie.cli.character", no_character)
     assert main(args + ["--output", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# well-formed JSON under a valid checksum, with one malformed table
+RESEALED = {
+    "reseal-padded": lambda entry: {**entry, "padded": {"(x)": 1}},
+    "reseal-count": lambda entry: {**entry, "padded": {"()": -1}},
+    "reseal-character": lambda entry: {
+        **entry, "character": {mu: "1/0" for mu in entry["character"]}},
+}
+
+
 @pytest.mark.parametrize("damage", ["truncate", "other-cell", "drop-dim",
-                                    "drop-padded", "tamper-dim"])
+                                    "drop-padded", "tamper-dim", *RESEALED])
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     cache = tmp_path / "cache"
     cold = tmp_path / "cold.json"
@@ -588,6 +701,12 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
         entry = json.loads(original)
         entry["dim"] += 1
         victim.write_text(json.dumps(entry), encoding="utf-8")
+    elif damage in RESEALED:
+        from derlie.cli import _cache_write
+        entry = json.loads(original)
+        key = entry.pop("key")
+        del entry["sha256"]
+        _cache_write(str(cache), key, RESEALED[damage](entry))
     else:
         entry = json.loads(original)
         del entry[damage.removeprefix("drop-")]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import compose, rank
 from derlie import ratlinalg
 from derlie.ratlinalg import (
     ContainmentViolation,
@@ -16,7 +17,6 @@ from derlie.ratlinalg import (
     inverse,
     kernel_basis,
     quotient_basis,
-    rank,
 )
 
 F = Fraction
@@ -313,8 +313,8 @@ def test_rank_nullity_hypothesis(rows, square):
     assert rank(s) + kernel_basis(s).dim == 3
     inv = inverse(s)
     if rank(s) == 3:
-        assert s.compose(inv) == identity(3)
-        assert inv.compose(s) == identity(3)
+        assert compose(s, inv) == identity(3)
+        assert compose(inv, s) == identity(3)
     else:
         assert inv is None
 
@@ -387,7 +387,7 @@ def test_span_solver_back_substitutes_triangular_rows(basis, data):
 def test_matrix_compose_and_apply():
     a = mat(2, 3, {(0, 0): 1, (1, 2): 2})
     b = mat(3, 2, {(0, 1): 1, (2, 0): 3})
-    ab = a.compose(b)
+    ab = compose(a, b)
     assert ab.entry(0, 1) == 1
     assert ab.entry(1, 0) == 6
     assert a.apply({0: F(1), 2: F(1)}) == {0: F(1), 1: F(2)}

@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 import lie_character
+from helpers import compose, rank
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode, derivation_basis, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
-from derlie.ratlinalg import SparseMatrix, rank
+from derlie.ratlinalg import SparseMatrix
 from derlie.reptheory import (
     ClassFunction,
     decompose,
@@ -108,8 +109,8 @@ def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
         dim = homology(model, m, k, mode).dimension
         image = homology_map(Injection.standard(m - 1, m), model, k, mode)
         orbit = [col for sigma in permutations(range(m))
-                 for col in sigma_action(sigma, model, k, mode)
-                 .compose(image).columns()]
+                 for col in compose(sigma_action(sigma, model, k, mode),
+                                    image).columns()]
         expected[m] = rank(SparseMatrix.from_rows(orbit, dim)) == dim
     assert generation_check(model, mode, k, range(1, 5)) == expected
 
