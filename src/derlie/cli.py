@@ -47,24 +47,25 @@ except ImportError:
 
 from . import ENGINE_VERSION
 from .dermodel import (
+    DerSlice,
     Mode,
     _require_boundary_data,
-    apply_derivation,
     derivation_basis,
-    derivation_bracket,
     homology,
     support_bound,
     support_sum,
 )
 from .gradedlie import (
     ModelSpec,
+    TensorVector,
+    apply_values_tensor,
     free_product_generators,
     lie_dim,
     omega,
     pbw_series_check,
     validate_model,
 )
-from .ratlinalg import CheckFailure
+from .ratlinalg import CheckFailure, add_scaled
 
 # fistab and reptheory, the character layer, are imported where a job uses
 # them, so that a dimension-only job does not compile them.
@@ -78,7 +79,8 @@ SCHEMA = "derlie-report/1"
 
 
 class ParseError(Exception):
-    """Malformed model file, with position information."""
+    """Malformed model file, with position information: col is the 1-based
+    column in the raw line, or 0 when the error concerns the whole line."""
 
     def __init__(self, message: str, line: int, col: int = 0):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -97,7 +99,9 @@ class ValidationError(Exception):
 # ---- bracket-expression parsing ----------------------------------------------
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, object, int]]:
+def _tokenize(text: str, line: int, col: int) -> list[tuple[str, object, int]]:
+    """Tokens of text, which starts at the given column of its line; each
+    token carries its own column."""
     tokens = []
     i = 0
     while i < len(text):
@@ -106,36 +110,36 @@ def _tokenize(text: str, line: int) -> list[tuple[str, object, int]]:
             i += 1
             continue
         if ch in "[],+-*/":
-            tokens.append((ch, ch, i))
+            tokens.append((ch, ch, col + i))
             i += 1
             continue
         if ch.isdecimal():  # int() refuses digits such as '²'
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", int(text[i:j]), col + i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
                 j += 1
-            tokens.append(("sym", text[i:j], i))
+            tokens.append(("sym", text[i:j], col + i))
             i = j
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, i)
+        raise ParseError(f"unexpected character {ch!r}", line, col + i)
     return tokens
 
 
-def parse_bracket_expression(text: str, line: int = 0) -> list:
+def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
     """Parse a sum of rational multiples of nested brackets into
-    ``[(coefficient, node), ...]`` terms."""
-    tokens = _tokenize(text, line)
+    ``[(coefficient, node), ...]`` terms; text starts at column col."""
+    tokens = _tokenize(text, line, col)
     pos = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", None,
-                                                      len(text))
+                                                      col + len(text))
 
     def take(kind=None):
         nonlocal pos
@@ -150,9 +154,9 @@ def parse_bracket_expression(text: str, line: int = 0) -> list:
         num = take("int")[1]
         if peek()[0] == "/":
             take("/")
-            den = take("int")[1]
+            _, den, den_col = take("int")
             if den == 0:
-                raise ParseError("zero denominator", line, peek()[2])
+                raise ParseError("zero denominator", line, den_col)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -263,7 +267,9 @@ def parse_model_text(text: str) -> ModelSpec:
             raise ParseError("indented line outside a section", lineno)
         if ":" not in stripped:
             raise ParseError("expected 'key: value'", lineno)
-        key, _, value = stripped.partition(":")
+        key, _, value = line.partition(":")
+        key_col = len(key) - len(key.lstrip()) + 1
+        value_col = len(line) - len(value.lstrip()) + 1
         key = key.strip()
         value = value.strip()
         if section == "generators":
@@ -271,13 +277,15 @@ def parse_model_text(text: str) -> ModelSpec:
                 degree = int(value)
             except ValueError:
                 raise ParseError(f"bad generator degree {value!r}", lineno)
-            if [tok[:2] for tok in _tokenize(key, lineno)] != [("sym", key)]:
+            tokens = _tokenize(key, lineno, key_col)
+            if [tok[:2] for tok in tokens] != [("sym", key)]:
                 raise ParseError(f"bad generator symbol {key!r}", lineno)
             generators.append((key, degree))
         elif section == "differential":
             if key in differential:
                 raise ParseError(f"second differential of {key!r}", lineno)
-            differential[key] = parse_bracket_expression(value, lineno)
+            differential[key] = parse_bracket_expression(value, lineno,
+                                                         value_col)
         else:  # pairing
             syms = key.split()
             if len(syms) != 2:
@@ -574,10 +582,34 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
 # ---- checks ----------------------------------------------------------------------
 
 
+def _basis_bracket(sl: DerSlice, i: int, j: int) -> dict[int, TensorVector]:
+    """[a, b] = a o b - (-1)^k b o a for the basis vectors a, b at positions
+    i, j of a degree-k slice, by its nonzero generator values in tensor
+    coordinates; a value outside the Lyndon span raises
+    BasisExpressionFailure."""
+    genset, k = sl.genset, sl.k
+    a: dict[int, TensorVector] = {}
+    b: dict[int, TensorVector] = {}
+    for values, pos in ((a, i), (b, j)):
+        for p, c in sl.local_to_pointed({pos: 1}).items():
+            g, e = sl.coords[p]
+            add_scaled(values.setdefault(g, {}), c, genset.expansion(e))
+    sign = -1 if k % 2 else 1
+    out = {}
+    for g in sorted(a.keys() | b.keys()):
+        vec = apply_values_tensor(genset, k, a, b.get(g, {}))
+        add_scaled(vec, -sign, apply_values_tensor(genset, k, b, a.get(g, {})))
+        genset.from_tensor(genset.degrees[g] + 2 * k, vec)  # span check
+        if vec:
+            out[g] = vec
+    return out
+
+
 def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
-    """Seeded random derivation brackets annihilate omega, so stay inside
-    the boundary subcomplex (the kernel of theta -> theta(omega)); sampled
-    at the first nonempty slice in ascending k, then ascending n."""
+    """Seeded random brackets of basis derivations annihilate omega, so
+    stay inside the boundary subcomplex (the kernel of theta ->
+    theta(omega)); sampled at the first nonempty slice in ascending k, then
+    ascending n, on pointed coordinates in the tensor algebra."""
     ks = sorted(job.k_values)
     for k, n in ((k, n) for k in ks for n in sorted(job.n_values)):
         cost = _predicted_cost(model, n, k, Mode.BOUNDARY, full=True)
@@ -592,12 +624,11 @@ def _closure_spot_check(model: ModelSpec, job: JobSpec) -> dict:
         return {"name": "bracket-closure", "outcome": "skipped",
                 "detail": f"degree-{degrees} slice empty at every n"}
     rng = random.Random(job.seed)
-    w = omega(model, n)
+    w = sl.genset.to_tensor(omega(model, n))
     samples = min(5, sl.dim * sl.dim)
     for _ in range(samples):
-        a = sl.basis_derivation(rng.randrange(sl.dim))
-        b = sl.basis_derivation(rng.randrange(sl.dim))
-        if not apply_derivation(derivation_bracket(a, b), w).is_zero():
+        i, j = rng.randrange(sl.dim), rng.randrange(sl.dim)
+        if apply_values_tensor(sl.genset, 2 * k, _basis_bracket(sl, i, j), w):
             return {"name": "bracket-closure", "outcome": "fail",
                     "detail": f"bracket image misses omega kernel at n={n}"}
     return {"name": "bracket-closure", "outcome": "pass",

@@ -1,8 +1,11 @@
 """Derivation complexes of free graded Lie algebras and their homology.
 
-A degree-k derivation is stored by its values on generators; the value on
-the generator g is homogeneous of degree |g| + k.  Two complexes are
-supported, selected by ``Mode``:
+A degree-k derivation is a vector in pointed coordinates: the coordinate
+(g -> e) sends the generator g to the Lie basis element e, of degree
+|g| + k, and every other generator to 0.  No derivation object is built;
+delta and theta -> theta(omega) act on a coordinate through the tensor
+expansion of e (``apply_values_tensor``).  Two complexes are supported,
+selected by ``Mode``:
 
 * pointed: all derivations, with basis indexed by pairs (generator, Lie
   basis element of the matching degree);
@@ -39,7 +42,6 @@ from . import ratlinalg
 from .gradedlie import (
     GeneratorSet,
     LieBasisElement,
-    LieElement,
     ModelSpec,
     apply_values_tensor,
     free_product_generators,
@@ -61,66 +63,6 @@ class Mode(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class Derivation:
-    """A derivation of L(H^(+n)) of homological degree k, determined by its
-    generator values."""
-
-    __slots__ = ("genset", "degree", "values")
-
-    def __init__(self, genset: GeneratorSet, degree: int,
-                 values: Mapping[int, LieElement]):
-        self.genset = genset
-        self.degree = degree
-        self.values: dict[int, LieElement] = {}
-        for gid, val in values.items():
-            if val.is_zero():
-                continue
-            expected = genset.degrees[gid] + degree
-            if val.degree != expected:
-                raise ValueError(
-                    f"value on generator {genset.symbol(gid)} has degree "
-                    f"{val.degree}, expected {expected}")
-            self.values[gid] = val
-
-    def value(self, gid: int) -> LieElement:
-        val = self.values.get(gid)
-        if val is None:
-            return LieElement(self.genset.degrees[gid] + self.degree)
-        return val
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{self.genset.symbol(g)} -> {v}"
-                          for g, v in sorted(self.values.items()))
-        return f"Derivation(k={self.degree}, {parts or '0'})"
-
-
-def apply_derivation(theta: Derivation, e: LieElement) -> LieElement:
-    """theta(e), by the graded Leibniz rule."""
-    genset = theta.genset
-    if e.is_zero() or theta.is_zero():
-        return LieElement(e.degree + theta.degree)
-    values = {gid: genset.to_tensor(val) for gid, val in theta.values.items()}
-    vec = apply_values_tensor(genset, theta.degree, values, genset.to_tensor(e))
-    return genset.from_tensor(e.degree + theta.degree, vec)
-
-
-def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
-    """[a,b] = a o b - (-1)^{|a||b|} b o a, again a derivation."""
-    genset = a.genset
-    k = a.degree + b.degree
-    sign = -1 if (a.degree * b.degree) % 2 else 1
-    values = {}
-    for gid in range(genset.count):
-        val = apply_derivation(a, b.value(gid)) - \
-            apply_derivation(b, a.value(gid)).scale(sign)
-        if not val.is_zero():
-            values[gid] = val
-    return Derivation(genset, k, values)
 
 
 class DerSlice:
@@ -180,17 +122,6 @@ class DerSlice:
                 f"count gives {self.dim} at (n={self.n}, k={k})")
         return basis
 
-    def pointed_to_derivation(self, vec: Mapping[int, Fraction]) -> Derivation:
-        per_gen: dict[int, dict] = {}
-        for pos, c in vec.items():
-            if c == 0:
-                continue
-            gid, elem = self.coords[pos]
-            per_gen.setdefault(gid, {})[elem] = c
-        values = {gid: LieElement(self.genset.degrees[gid] + self.k, coeffs)
-                  for gid, coeffs in per_gen.items()}
-        return Derivation(self.genset, self.k, values)
-
     def pointed_to_local(self, vec: Mapping[int, Fraction]
                          ) -> Optional[Vector]:
         if self.mode is Mode.POINTED:
@@ -204,9 +135,6 @@ class DerSlice:
         for i, c in local.items():
             add_scaled(out, c, self.basis.vectors[i])
         return out
-
-    def basis_derivation(self, i: int) -> Derivation:
-        return self.pointed_to_derivation(self.local_to_pointed({i: 1}))
 
     def __repr__(self) -> str:
         return (f"DerSlice({self.model.name}, n={self.n}, k={self.k}, "
@@ -327,7 +255,7 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
                                       genset._diff_tensor[h])
             value = genset.from_tensor(genset.degrees[h] + k - 1, img)
             add_scaled(col, -sign, {tgt.coord_index[(h, x)]: c
-                                    for x, c in value.coeffs.items()})
+                                    for x, c in value.items()})
         return col
 
     columns = [push_local(src, tgt, pointed_column, {i: 1}, "differential")

@@ -166,8 +166,7 @@ def character(model: ModelSpec, n: int, k: int,
         for nu in reptheory.partitions(s):
             act = sigma_action(cycle_type_representative(nu), model, k,
                                mode, block=True)
-            trace = sum((act.entry(i, i) for i in range(act.rows)),
-                        Fraction(0))
+            trace = sum(act.entry(i, i) for i in range(act.rows))
             if nu == (1,) * s and trace != dim:
                 raise reptheory.NotARepresentation(
                     f"the identity has trace {trace} on a block of "
@@ -176,6 +175,6 @@ def character(model: ModelSpec, n: int, k: int,
     values = {}
     for mu in reptheory.partitions(n):
         m = Counter(mu)
-        values[mu] = sum((prod(comb(m[part], c) for part, c in nu) * chi
-                          for nu, chi in blocks), Fraction(0))
+        values[mu] = sum(prod(comb(m[part], c) for part, c in nu) * chi
+                         for nu, chi in blocks)
     return reptheory.ClassFunction(n, values)

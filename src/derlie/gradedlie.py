@@ -10,6 +10,11 @@ since each basis expansion leads with its own word (or ww for [w,w]).  Lyndon
 expansions carry int coefficients (standard bracketings are integral), and
 every coefficient stays an int until a division is inexact.
 
+A Lie element is a ``LieVector``, a plain dict from basis elements to
+coefficients that follows ratlinalg's ``Vector`` convention: no zero is
+stored, and the degree is not stored either, since every caller knows it
+(``from_tensor`` takes it).
+
 Generator order is summand-major: inside L(H^(+n)) the copy index is
 compared first, the base generator index second.  This order defines which
 words are Lyndon and is fixed once and for all.
@@ -154,53 +159,7 @@ class LieBasisElement(NamedTuple):
         return f"[[{body}]]" if self.square else f"[{body}]"
 
 
-class LieElement:
-    """Homogeneous exact-rational combination of super-Lyndon basis elements;
-    coefficients are stored as given (int or Fraction), zeros dropped."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int,
-                 coeffs: Mapping[LieBasisElement, Fraction] | None = None):
-        self.degree = degree
-        self.coeffs: dict[LieBasisElement, Fraction] = {
-            k: v for k, v in (coeffs or {}).items() if v}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c: Fraction) -> "LieElement":
-        if not c:
-            return LieElement(self.degree)
-        return LieElement(self.degree,
-                          {k: c * v for k, v in self.coeffs.items()})
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if self.degree != other.degree and self.coeffs and other.coeffs:
-            raise ValueError("cannot add elements of different degrees")
-        out = add_scaled(dict(self.coeffs), 1, other.coeffs)
-        return LieElement(self.degree if self.coeffs else other.degree, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LieElement) and self.coeffs == other.coeffs
-                and (not self.coeffs or self.degree == other.degree))
-
-    def __hash__(self):
-        if not self.coeffs:
-            return hash(())
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*{k}" for k, v in sorted(
-            self.coeffs.items(), key=lambda kv: kv[0]))
+LieVector = dict[LieBasisElement, Fraction]
 
 
 class _Slice:
@@ -291,8 +250,7 @@ class GeneratorSet:
     def has_zero_differential(self) -> bool:
         return not self._diff_tensor
 
-    def differential(self, elem: LieBasisElement
-                     ) -> dict[LieBasisElement, Fraction]:
+    def differential(self, elem: LieBasisElement) -> LieVector:
         """Shared, memoized d(elem) in Lyndon coordinates (do not mutate);
         zero without expanding elem when no letter of its word has a d."""
         out = self._d_cache.get(elem)
@@ -301,8 +259,7 @@ class GeneratorSet:
             if not self._diff_tensor.keys().isdisjoint(elem.word):
                 vec = apply_values_tensor(self, -1, self._diff_tensor,
                                           self.expansion(elem))
-                out = self.from_tensor(self.element_degree(elem) - 1,
-                                       vec).coeffs
+                out = self.from_tensor(self.element_degree(elem) - 1, vec)
             self._d_cache[elem] = out
         return out
 
@@ -382,22 +339,22 @@ class GeneratorSet:
 
     # -- conversions --------------------------------------------------------
 
-    def to_tensor(self, e: LieElement) -> TensorVector:
+    def to_tensor(self, e: LieVector) -> TensorVector:
         out: TensorVector = {}
-        for elem, c in e.coeffs.items():
+        for elem, c in e.items():
             add_scaled(out, c, self.expansion(elem))
         return out
 
-    def from_tensor(self, degree: int, vec: TensorVector) -> LieElement:
+    def from_tensor(self, degree: int, vec: TensorVector) -> LieVector:
+        """vec, homogeneous of the given degree, in Lyndon coordinates."""
         if not vec:
-            return LieElement(degree)
+            return {}
         sl = self.slice(degree)
         coords = sl.solver.express(vec)
         if coords is None:
             raise BasisExpressionFailure(
                 f"tensor element of degree {degree} is outside the Lyndon span")
-        return LieElement(degree, {sl.elements[i]: c
-                                   for i, c in coords.items()})
+        return {sl.elements[i]: c for i, c in coords.items()}
 
 def _is_lyndon(word: Word) -> bool:
     n = len(word)
@@ -504,12 +461,12 @@ def lyndon_basis(genset: GeneratorSet, degree: int) -> list[LieBasisElement]:
     return list(genset.slice(degree).elements)
 
 
-def apply_differential(genset: GeneratorSet, e: LieElement) -> LieElement:
+def apply_differential(genset: GeneratorSet, e: LieVector) -> LieVector:
     """d(e), extended from generators by the graded Leibniz rule."""
-    out: dict = {}
-    for elem, c in e.coeffs.items():
+    out: LieVector = {}
+    for elem, c in e.items():
         add_scaled(out, c, genset.differential(elem))
-    return LieElement(e.degree - 1, out)
+    return out
 
 
 def _pairing_inverse(model: ModelSpec) -> Optional[SparseMatrix]:
@@ -520,7 +477,7 @@ def _pairing_inverse(model: ModelSpec) -> Optional[SparseMatrix]:
                                        for j, v in enumerate(row)}))
 
 
-def dual_basis(model: ModelSpec) -> dict[str, LieElement]:
+def dual_basis(model: ModelSpec) -> dict[str, LieVector]:
     """For each generator a_j, the element a_j^# with <a_i, a_j^#> = delta_ij.
 
     Values are linear combinations of generators of degree d-2-|a_j|,
@@ -535,13 +492,12 @@ def dual_basis(model: ModelSpec) -> dict[str, LieElement]:
     d = model.ambient_dim
     out = {}
     for j, (sym, deg) in enumerate(model.generators):
-        coeffs: dict[LieBasisElement, Fraction] = {}
+        out[sym] = {}
         for k, c in inv.column(j).items():
             if genset.degrees[k] != d - 2 - deg:
                 raise SingularPairing(
                     "pairing entries violate the degree constraint")
-            coeffs[LieBasisElement(False, (k,))] = c
-        out[sym] = LieElement(d - 2 - deg, coeffs)
+            out[sym][LieBasisElement(False, (k,))] = c
     return out
 
 
@@ -558,8 +514,7 @@ def relabel_tensor(src: GeneratorSet, dst: GeneratorSet,
 
 def relabel_basis_element(src: GeneratorSet, dst: GeneratorSet,
                           summand_map: Sequence[int],
-                          elem: LieBasisElement
-                          ) -> dict[LieBasisElement, Fraction]:
+                          elem: LieBasisElement) -> LieVector:
     """sigma . elem in dst's Lyndon coordinates, where summand j of src goes
     to summand summand_map[j] of dst.  When the map is increasing on the
     summands of elem's word, the relabeled word is Lyndon with the same
@@ -572,25 +527,25 @@ def relabel_basis_element(src: GeneratorSet, dst: GeneratorSet,
         word = tuple(summand_map[g // m] * m + g % m for g in elem.word)
         return {LieBasisElement(elem.square, word): 1}
     vec = relabel_tensor(src, dst, summand_map, src.expansion(elem))
-    return dst.from_tensor(src.element_degree(elem), vec).coeffs
+    return dst.from_tensor(src.element_degree(elem), vec)
 
 
 def relabel_element(src: GeneratorSet, dst: GeneratorSet,
                     summand_map: Sequence[int],
-                    e: LieElement) -> LieElement:
+                    e: LieVector) -> LieVector:
     """Push e along a summand relabeling, one basis element at a time."""
-    out: dict = {}
-    for elem, c in e.coeffs.items():
+    out: LieVector = {}
+    for elem, c in e.items():
         add_scaled(out, c, relabel_basis_element(src, dst, summand_map, elem))
-    return LieElement(e.degree, out)
+    return out
 
 
 @cache
-def omega(model: ModelSpec, n: int) -> LieElement:
+def omega(model: ModelSpec, n: int) -> LieVector:
     """The degree-(d-2) element (1/2) sum [(a_i^j)^#, a_i^j] over all n*m
     generators, normalized so the least basis bracket has positive
     coefficient.  Checked to be a differential cycle and invariant under all
-    summand transpositions."""
+    summand transpositions.  Shared and memoized: do not mutate."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     duals = dual_basis(model)
@@ -607,12 +562,11 @@ def omega(model: ModelSpec, n: int) -> LieElement:
             term = tensor_commutator(dual_vec, gen_vec, d - 2 - deg, deg)
             add_scaled(total, Fraction(1, 2), term)
     elem = genset.from_tensor(d - 2, total)
-    if elem.is_zero():
+    if not elem:
         raise SingularPairing("intersection element vanished")
-    least = min(elem.coeffs)
-    if elem.coeffs[least] < 0:
-        elem = -elem
-    if not apply_differential(genset, elem).is_zero():
+    if elem[min(elem)] < 0:
+        elem = {b: -c for b, c in elem.items()}
+    if apply_differential(genset, elem):
         raise OmegaNotCycle(
             f"d(omega_{n}) != 0 for model {model.name}; inconsistent data")
     for t in range(n - 1):
@@ -727,13 +681,7 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
     Hilbert series, where o_m/e_m are the computed odd/even dimensions."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
-    counts = genset.lyndon_counts(up_to)
-    dims = []
-    for m in range(up_to + 1):
-        d = counts.get(m, 0)
-        if m >= 1 and m % 2 == 0 and (m // 2) % 2 == 1:
-            d += counts.get(m // 2, 0)
-        dims.append(d)
+    dims = [lie_dim(genset, m) for m in range(up_to + 1)]
     lhs = [0] * (up_to + 1)
     lhs[0] = 1
     for m in range(1, up_to + 1):

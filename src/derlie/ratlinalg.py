@@ -8,10 +8,10 @@ stripping).  A rational stays a Python int until a division is inexact
 (an RREF row whose pivot entry is not 1, an uneven back-substitution step).
 
 One sparse convention holds for every vector that crosses a function
-boundary here and in the layers above: a ``Vector`` (or a tensor vector) is
-a dict from coordinate keys to nonzero rationals (int or Fraction); a
-missing key means zero and no zero is ever stored.  ``add_scaled`` is the
-one accumulation step that keeps it.
+boundary here and in the layers above: a ``Vector`` (or a tensor vector, or
+a Lie element in Lyndon coordinates) is a dict from coordinate keys to
+nonzero rationals (int or Fraction); a missing key means zero and no zero
+is ever stored.  ``add_scaled`` is the one accumulation step that keeps it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,23 @@
 """Engine-level helpers that only the tests use: composition of injections
-and matrices, rank, brackets of Lie elements, generator elements and their
-differentials, and the matrix of an injection on derivation slices.
+and matrices, rank, sums and brackets of Lie elements, generator elements
+and their differentials, the matrix of an injection on derivation slices,
+and the derivation-object route.
+
+Lie elements are dicts in Lyndon coordinates (``gradedlie.LieVector``).  The
+derivation-object route (``Derivation``, ``apply_derivation``,
+``derivation_bracket``, ``pointed_to_derivation``, ``basis_derivation``)
+carries each derivation's degree explicitly and re-expresses every value in
+the Lyndon basis; it is the reference for delta, the FI maps and the
+bracket-closure sample, which work on pointed coordinates instead.
 
 Unlike the independent oracles (``bruteforce``, ``lie_character``), these
 are built from derlie's own layers."""
 
-from derlie.dermodel import Mode, derivation_basis
+from derlie.dermodel import DerSlice, Mode, derivation_basis
 from derlie.fistab import Injection, _pushforward
-from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieElement,
-                              tensor_commutator)
-from derlie.ratlinalg import SparseMatrix, _echelon
+from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
+                              apply_values_tensor, tensor_commutator)
+from derlie.ratlinalg import SparseMatrix, _echelon, add_scaled
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
@@ -33,23 +41,100 @@ def rank(m: SparseMatrix) -> int:
     return len(_echelon(m._rows))
 
 
-def bracket(genset: GeneratorSet, u: LieElement, v: LieElement) -> LieElement:
+def plus(u: LieVector, v: LieVector, c=1) -> LieVector:
+    """u + c v, a new dict."""
+    return add_scaled(dict(u), c, v)
+
+
+def scale(u: LieVector, c) -> LieVector:
+    return {b: c * x for b, x in u.items()} if c else {}
+
+
+def lie_degree(genset: GeneratorSet, e: LieVector) -> int:
+    """The degree of a nonzero homogeneous element."""
+    degrees = {genset.element_degree(b) for b in e}
+    assert len(degrees) == 1, degrees
+    return degrees.pop()
+
+
+def bracket(genset: GeneratorSet, u: LieVector, v: LieVector) -> LieVector:
     """Graded commutator computed in tensor coordinates."""
-    if u.is_zero() or v.is_zero():
-        return LieElement(u.degree + v.degree)
-    vec = tensor_commutator(genset.to_tensor(u), genset.to_tensor(v),
-                            u.degree, v.degree)
-    return genset.from_tensor(u.degree + v.degree, vec)
+    if not u or not v:
+        return {}
+    du, dv = lie_degree(genset, u), lie_degree(genset, v)
+    vec = tensor_commutator(genset.to_tensor(u), genset.to_tensor(v), du, dv)
+    return genset.from_tensor(du + dv, vec)
 
 
-def generator_element(genset: GeneratorSet, gid: int) -> LieElement:
-    return LieElement(genset.degrees[gid],
-                      {LieBasisElement(False, (gid,)): 1})
+def generator_element(genset: GeneratorSet, gid: int) -> LieVector:
+    return {LieBasisElement(False, (gid,)): 1}
 
 
-def differential_of(genset: GeneratorSet, gid: int) -> LieElement:
-    return LieElement(genset.degrees[gid] - 1,
-                      genset.differential(LieBasisElement(False, (gid,))))
+def differential_of(genset: GeneratorSet, gid: int) -> LieVector:
+    return genset.differential(LieBasisElement(False, (gid,)))
+
+
+class Derivation:
+    """A derivation of L(H^(+n)) of homological degree k, determined by its
+    generator values; the value on g has degree |g| + k."""
+
+    __slots__ = ("genset", "degree", "values")
+
+    def __init__(self, genset: GeneratorSet, degree: int,
+                 values: dict[int, LieVector]):
+        self.genset = genset
+        self.degree = degree
+        self.values: dict[int, LieVector] = {}
+        for gid, val in values.items():
+            if not val:
+                continue
+            expected = genset.degrees[gid] + degree
+            if lie_degree(genset, val) != expected:
+                raise ValueError(
+                    f"value on generator {genset.symbol(gid)} has degree "
+                    f"{lie_degree(genset, val)}, expected {expected}")
+            self.values[gid] = val
+
+    def value(self, gid: int) -> LieVector:
+        return self.values.get(gid, {})
+
+    def is_zero(self) -> bool:
+        return not self.values
+
+
+def apply_derivation(theta: Derivation, e: LieVector) -> LieVector:
+    """theta(e), by the graded Leibniz rule."""
+    genset = theta.genset
+    if not e or theta.is_zero():
+        return {}
+    values = {gid: genset.to_tensor(val) for gid, val in theta.values.items()}
+    vec = apply_values_tensor(genset, theta.degree, values,
+                              genset.to_tensor(e))
+    return genset.from_tensor(lie_degree(genset, e) + theta.degree, vec)
+
+
+def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
+    """[a,b] = a o b - (-1)^{|a||b|} b o a, again a derivation."""
+    genset = a.genset
+    sign = -1 if (a.degree * b.degree) % 2 else 1
+    values = {gid: plus(apply_derivation(a, b.value(gid)),
+                        apply_derivation(b, a.value(gid)), -sign)
+              for gid in range(genset.count)}
+    return Derivation(genset, a.degree + b.degree, values)
+
+
+def pointed_to_derivation(sl: DerSlice, vec: dict) -> Derivation:
+    """The derivation with the given pointed coordinates in sl."""
+    per_gen: dict[int, LieVector] = {}
+    for pos, c in vec.items():
+        if c:
+            gid, elem = sl.coords[pos]
+            per_gen.setdefault(gid, {})[elem] = c
+    return Derivation(sl.genset, sl.k, per_gen)
+
+
+def basis_derivation(sl: DerSlice, i: int) -> Derivation:
+    return pointed_to_derivation(sl, sl.local_to_pointed({i: 1}))
 
 
 def induced_slice_map(inj: Injection, model, k: int,

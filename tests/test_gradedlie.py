@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from helpers import bracket, differential_of, generator_element
+from helpers import bracket, differential_of, generator_element, plus, scale
 from derlie.cli import bundled_model_names, load_model
 from derlie.gradedlie import (
     GeneratorSet,
     InvarianceFailure,
     LieBasisElement,
-    LieElement,
     ModelSpec,
     SingularPairing,
     apply_differential,
@@ -234,19 +233,19 @@ def test_square_bracket_of_odd_generator(sphere2):
     g = free_product_generators(sphere2, 1)
     x = elem(g, 0)
     sq = bracket(g, x, x)
-    assert sq.coeffs == {LieBasisElement(True, (0,)): F(1)}
+    assert sq == {LieBasisElement(True, (0,)): F(1)}
 
 
 def test_even_self_bracket_vanishes(sphere3):
     g = free_product_generators(sphere3, 1)
     a = elem(g, 0)
-    assert bracket(g, a, a).is_zero()
+    assert bracket(g, a, a) == {}
 
 
 def _random_homogeneous(rng, genset, degree):
     basis = lyndon_basis(genset, degree)
     coeffs = {b: F(rng.randint(-3, 3)) for b in basis}
-    return LieElement(degree, coeffs)
+    return {b: c for b, c in coeffs.items() if c}
 
 
 def test_graded_antisymmetry_and_jacobi(sphere2):
@@ -261,12 +260,12 @@ def test_graded_antisymmetry_and_jacobi(sphere2):
         w = _random_homogeneous(rng, g, dw)
         # [u,v] = -(-1)^{|u||v|}[v,u]
         sign = F(-1) if (du * dv) % 2 == 0 else F(1)
-        assert bracket(g, u, v) == bracket(g, v, u).scale(sign)
+        assert bracket(g, u, v) == scale(bracket(g, v, u), sign)
         # [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|}[v,[u,w]]
         lhs = bracket(g, u, bracket(g, v, w))
         rhs = bracket(g, bracket(g, u, v), w)
         jac_sign = F(1) if (du * dv) % 2 == 0 else F(-1)
-        rhs = rhs + bracket(g, v, bracket(g, u, w)).scale(jac_sign)
+        rhs = plus(rhs, bracket(g, v, bracket(g, u, w)), jac_sign)
         assert lhs == rhs
 
 
@@ -305,7 +304,7 @@ def test_zero_differential_model(sphere2):
     g = free_product_generators(sphere2, 2)
     rng = random.Random(5)
     e = _random_homogeneous(rng, g, 3)
-    assert apply_differential(g, e).is_zero()
+    assert apply_differential(g, e) == {}
 
 
 def test_differential_of_relation_generator(product_model):
@@ -319,7 +318,7 @@ def test_differential_squares_to_zero(product_model):
     rng = random.Random(23)
     for degree in (2, 4, 5, 6, 7):
         e = _random_homogeneous(rng, g, degree)
-        assert apply_differential(g, apply_differential(g, e)).is_zero()
+        assert apply_differential(g, apply_differential(g, e)) == {}
 
 
 def test_differential_squares_to_zero_on_every_basis_element(product_model):
@@ -327,9 +326,8 @@ def test_differential_squares_to_zero_on_every_basis_element(product_model):
         g = free_product_generators(product_model, n)
         for degree in range(2, 8):
             for b in lyndon_basis(g, degree):
-                e = LieElement(degree, {b: F(1)})
-                assert apply_differential(
-                    g, apply_differential(g, e)).is_zero()
+                e = {b: F(1)}
+                assert apply_differential(g, apply_differential(g, e)) == {}
 
 
 def test_memoized_differential_matches_tensor_path(product_model, cp3,
@@ -357,7 +355,7 @@ def test_memoized_differential_matches_tensor_path(product_model, cp3,
         for e in with_d:
             vec = apply_values_tensor(g, -1, g._diff_tensor, g.expansion(e))
             degree = g.word_degree(e.word) * (2 if e.square else 1)
-            assert g.differential(e) == g.from_tensor(degree - 1, vec).coeffs
+            assert g.differential(e) == g.from_tensor(degree - 1, vec)
 
 
 def test_leibniz_rule(product_model):
@@ -368,8 +366,8 @@ def test_leibniz_rule(product_model):
         v = _random_homogeneous(rng, g, dv)
         lhs = apply_differential(g, bracket(g, u, v))
         sign = F(-1) if du % 2 else F(1)
-        rhs = bracket(g, apply_differential(g, u), v) + \
-            bracket(g, u, apply_differential(g, v)).scale(sign)
+        rhs = plus(bracket(g, apply_differential(g, u), v),
+                   bracket(g, u, apply_differential(g, v)), sign)
         assert lhs == rhs
 
 
@@ -416,7 +414,7 @@ def test_dual_pairing_property_exact(s3xs3):
     for j, sym in enumerate(syms):
         dual = duals[sym]
         for i in range(len(syms)):
-            val = sum((mat[i][k] * dual.coeffs.get(
+            val = sum((mat[i][k] * dual.get(
                 LieBasisElement(False, (k,)), F(0)))
                 for k in range(len(syms)))
             assert val == (F(1) if i == j else F(0))
@@ -439,8 +437,8 @@ def test_omega_of_hyperbolic_plane(s2xs2):
 def test_omega_is_summandwise(s2xs2):
     g2 = free_product_generators(s2xs2, 2)
     w2 = omega(s2xs2, 2)
-    expected = bracket(g2, elem(g2, 0), elem(g2, 1)) + \
-        bracket(g2, elem(g2, 2), elem(g2, 3))
+    expected = plus(bracket(g2, elem(g2, 0), elem(g2, 1)),
+                    bracket(g2, elem(g2, 2), elem(g2, 3)))
     assert w2 == expected
 
 
@@ -485,7 +483,7 @@ def test_omega_even_degree_model(s3xs3):
 def test_omega_diagonal_pairing(cp2):
     g = free_product_generators(cp2, 1)
     w = omega(cp2, 1)
-    assert w == bracket(g, elem(g, 0), elem(g, 0)).scale(F(1, 2))
+    assert w == scale(bracket(g, elem(g, 0), elem(g, 0)), F(1, 2))
 
 
 def test_omega_invariance_up_to_arity_4(s2xs2, cp2):
@@ -494,7 +492,7 @@ def test_omega_invariance_up_to_arity_4(s2xs2, cp2):
         for n in range(1, 5):
             w = omega(model, n)
             g = free_product_generators(model, n)
-            assert apply_differential(g, w).is_zero()
+            assert apply_differential(g, w) == {}
             for sigma in itertools.permutations(range(n)):
                 mapping = {j: sigma[j] for j in range(n)}
                 assert relabel_element(g, g, mapping, w) == w
@@ -513,7 +511,7 @@ def test_relabel_basis_element_matches_the_tensor_route(request, name):
         for degree in range(1, 6):
             for e in lyndon_basis(src, degree):
                 vec = relabel_tensor(src, g3, summand_map, src.expansion(e))
-                expected = g3.from_tensor(degree, vec).coeffs
+                expected = g3.from_tensor(degree, vec)
                 assert relabel_basis_element(src, g3, summand_map, e) == \
                     expected, (summand_map, e)
                 seen_square += e.square
@@ -595,15 +593,15 @@ def test_sign_flip_of_omega_does_not_change_kernels(s2xs2):
     from derlie.gradedlie import apply_values_tensor
     g = free_product_generators(s2xs2, 1)
     w = omega(s2xs2, 1)
-    for scale in (F(1), F(-1), F(7)):
-        vec = g.to_tensor(w.scale(scale))
+    for factor in (F(1), F(-1), F(7)):
+        vec = g.to_tensor(scale(w, factor))
         basis3 = lyndon_basis(g, 2)
         kernels = []
         for gid in range(g.count):
             for b in lyndon_basis(g, g.degrees[gid] + 1):
                 img = apply_values_tensor(g, 1, {gid: g.expansion(b)}, vec)
                 kernels.append(frozenset(img.items()) == frozenset())
-        if scale == F(1):
+        if factor == F(1):
             reference = kernels
         else:
             assert kernels == reference
