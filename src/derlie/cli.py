@@ -32,7 +32,6 @@ import random
 import sys
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib would map
 # OpenSSL's libcrypto, about 3.5 MB of every job's peak RSS, to hash a model
@@ -219,7 +218,7 @@ def _parse_rational_literal(text: str, line: int) -> Fraction:
 
 def parse_model_text(text: str) -> ModelSpec:
     name = None
-    ambient: Optional[int] = None
+    ambient: int | None = None
     minimal = True
     generators: list[tuple[str, int]] = []
     differential: dict[str, list] = {}
@@ -353,7 +352,7 @@ class JobSpec:
                  k_values: tuple[int, ...], n_values: tuple[int, ...],
                  decompose: bool = False, check_consistency: bool = False,
                  check_generation: bool = False, check_pbw: bool = False,
-                 fmt: str = "table", cache_dir: Optional[str] = None,
+                 fmt: str = "table", cache_dir: str | None = None,
                  seed: int = 0, max_dim: int = 20000, workers: int = 1):
         if not k_values or not n_values:
             raise ValueError("k and n ranges must be nonempty")
@@ -432,7 +431,7 @@ def _checksum(cell: dict) -> str:
     return sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest()
 
 
-def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
+def _cache_read(cache_dir: str | None, key: str) -> dict | None:
     """The cached cell, or None when the entry is missing, unreadable, or
     stored under another key or checksum than its own."""
     if cache_dir is None:
@@ -449,7 +448,7 @@ def _cache_read(cache_dir: Optional[str], key: str) -> Optional[dict]:
     return value
 
 
-def _cache_write(cache_dir: Optional[str], key: str, cell: dict) -> None:
+def _cache_write(cache_dir: str | None, key: str, cell: dict) -> None:
     """Write (or repair) one entry atomically, with its key and checksum;
     an entry that cannot be written is left uncached."""
     if cache_dir is None:
@@ -494,7 +493,7 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
     return cell
 
 
-def _is_cell(entry: Optional[dict], mode: Mode, n: int, k: int,
+def _is_cell(entry: dict | None, mode: Mode, n: int, k: int,
              decompose: bool) -> bool:
     """Whether a cache entry holds exactly the fields _compute_cell writes
     for this cell, each in the form it writes; anything else is a miss and
@@ -532,7 +531,7 @@ def _is_rational(text) -> bool:
         return False
 
 
-def _is_partition(text: str, n: Optional[int] = None) -> bool:
+def _is_partition(text: str, n: int | None = None) -> bool:
     """Whether text is the partition_str of a partition (of n, if given)."""
     try:
         p = partition_from_str(text)
@@ -553,10 +552,10 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
     """Largest pointed dimension of the slices the cell builds at one
     arity, or of the omega target of its top degree in boundary mode.  A
     cell is built from blocks, each filtered from the slices at its arity
-    s <= support_bound; a full cell, which the consistency and generation
-    checks build, is priced at n.  Degree k is always built, degree k + 1
-    only for a nonzero differential and a nonempty degree-k block (or full
-    slice), which is counted from Lie dimensions."""
+    s <= support_bound; a full cell, which the consistency check builds, is
+    priced at n.  Degree k is always built, degree k + 1 only for a nonzero
+    differential and a nonempty degree-k block (or full slice), which is
+    counted from Lie dimensions."""
     def pointed(j, kk):
         genset = free_product_generators(model, j)
         return sum(lie_dim(genset, d + kk) for d in genset.degrees)
@@ -734,7 +733,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
         return _error_report(job, "validation-error", str(exc)), \
             EXIT_VALIDATION
 
-    full = job.check_consistency or job.check_generation
+    full = job.check_consistency
     if job.decompose:
         from .reptheory import partition_count
     for n in job.n_values:

@@ -32,11 +32,11 @@ W_s(k) the homology of the block at arity s, which is 0 above
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
-from typing import Callable, Mapping, Optional
 
 from . import ratlinalg
 from .gradedlie import (
@@ -123,7 +123,7 @@ class DerSlice:
         return basis
 
     def pointed_to_local(self, vec: Mapping[int, Fraction]
-                         ) -> Optional[Vector]:
+                         ) -> Vector | None:
         if self.mode is Mode.POINTED:
             return dict(vec)
         return ratlinalg.coordinates_in_span(self.basis, vec)
@@ -270,7 +270,7 @@ class HomologySlice:
 
     def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
                  dimension: int, representatives: list[Vector],
-                 quotient: ratlinalg.Quotient, delta: Optional[SparseMatrix]):
+                 quotient: ratlinalg.Quotient, delta: SparseMatrix | None):
         self.model, self.n, self.k, self.mode = model, n, k, mode
         self.dimension, self.representatives = dimension, representatives
         self._quotient, self._delta = quotient, delta

@@ -1,7 +1,8 @@
 """Injections between summand sets, the maps they induce on derivation
 slices and homology, symmetric-group actions, characters, and the
 consistency check for stabilized images.  Characters act on the blocks
-of ``dermodel`` only; the full cells serve the checks and the FI maps.
+of ``dermodel`` only; the full cells serve the consistency check and the
+FI maps.
 
 An injection acts on a derivation by extension by zero: the relabeled
 derivation takes the conjugated value on summands in the image and vanishes
@@ -14,11 +15,11 @@ element when sigma is increasing on the summands of e's word.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Callable, Mapping, NamedTuple
 
 from . import reptheory
 from .dermodel import (DerSlice, Mode, _flag, derivation_basis, homology,
@@ -31,9 +32,10 @@ class NotAChainMap(CheckFailure):
     """A homology representative mapped to a non-cycle."""
 
 
-class Injection(NamedTuple("Injection", [("source", int), ("target", int),
-                                          ("image", tuple[int, ...])])):
-    """An injective map of summand index sets, zero-based."""
+class Injection(namedtuple("Injection", ["source", "target", "image"])):
+    """An injective map of summand index sets, zero-based: source and
+    target are sizes, and image (a tuple[int, ...]) lists one target index
+    per source index."""
     __slots__ = ()
 
     def __new__(cls, source: int, target: int, image: tuple[int, ...]):

@@ -22,10 +22,11 @@ words are Lyndon and is fixed once and for all.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .ratlinalg import (CheckFailure, SparseMatrix, SpanSolver, add_scaled,
                         inverse)
@@ -35,7 +36,7 @@ TensorVector = dict[Word, Fraction]
 
 # A differential expression: sum of (coefficient, node) terms, where a node
 # is a generator symbol or a nested pair of nodes.
-ExprNode = Union[str, tuple]
+ExprNode = str | tuple
 ExprTerms = tuple[tuple[Fraction, ExprNode], ...]
 
 
@@ -124,7 +125,7 @@ class ModelSpec:
         syms = self.symbols
         index = {s: i for i, s in enumerate(syms)}
         m = len(syms)
-        mat: list[list[Optional[Fraction]]] = [[None] * m for _ in range(m)]
+        mat: list[list[Fraction | None]] = [[None] * m for _ in range(m)]
         for a, b, c in self.pairing:
             ia, ib = index[a], index[b]
             da, db = self.degree_of(a), self.degree_of(b)
@@ -147,12 +148,11 @@ class ModelSpec:
         return f"ModelSpec({self.name!r}, {len(self.generators)} generators)"
 
 
-class LieBasisElement(NamedTuple):
-    """A Lyndon word with its standard bracketing, or the square [w,w] of a
-    Lyndon word w of odd total degree.  A tuple, so that hashing and
-    ordering (by square, then word) run in C."""
-    square: bool
-    word: Word
+class LieBasisElement(namedtuple("LieBasisElement", ["square", "word"])):
+    """A Lyndon word (``word: Word``) with its standard bracketing, or the
+    square [w,w] of a Lyndon word w of odd total degree (``square: bool``).
+    A tuple, so that hashing and ordering (by square, then word) run in C."""
+    __slots__ = ()
 
     def __repr__(self) -> str:
         body = ",".join(str(x) for x in self.word)
@@ -469,7 +469,7 @@ def apply_differential(genset: GeneratorSet, e: LieVector) -> LieVector:
     return out
 
 
-def _pairing_inverse(model: ModelSpec) -> Optional[SparseMatrix]:
+def _pairing_inverse(model: ModelSpec) -> SparseMatrix | None:
     mat = model.pairing_matrix()
     n = len(mat)
     return inverse(SparseMatrix(n, n, {(i, j): v
@@ -670,10 +670,10 @@ def tensor_hilbert_series(genset: GeneratorSet, up_to: int) -> list[int]:
     return g
 
 
-class PbwReport(NamedTuple):
-    ok: bool
-    first_failure: Optional[int]
-    up_to: int
+class PbwReport(namedtuple("PbwReport", ["ok", "first_failure", "up_to"])):
+    """ok: bool; first_failure: the least failing degree, or None;
+    up_to: int."""
+    __slots__ = ()
 
 
 def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:

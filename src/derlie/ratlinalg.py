@@ -16,9 +16,9 @@ is ever stored.  ``add_scaled`` is the one accumulation step that keeps it.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 Vector = dict[int, int | Fraction]  # sparse; int until a division is inexact
 
@@ -253,7 +253,7 @@ def image_basis(m: SparseMatrix) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(m.columns(), m.rows)
 
 
-def inverse(m: SparseMatrix) -> Optional[SparseMatrix]:
+def inverse(m: SparseMatrix) -> SparseMatrix | None:
     """Inverse of a square matrix, read off the reduced echelon form of
     [m | I]; None when m is singular."""
     n = m.rows
@@ -269,7 +269,7 @@ def inverse(m: SparseMatrix) -> Optional[SparseMatrix]:
 
 def coordinates_in_span(
     b: SubspaceBasis, v: Mapping[int, Fraction]
-) -> Optional[Vector]:
+) -> Vector | None:
     """Exact coordinates of v in the basis b, or None if v is not in span(b).
 
     Coordinates are v's entries at the pivot columns (valid because each
@@ -352,7 +352,7 @@ class SpanSolver:
         self._rows[p] = (len(self._rows), vec)
         return True
 
-    def express(self, vec: Mapping) -> Optional[dict]:
+    def express(self, vec: Mapping) -> dict | None:
         """Coordinates of vec over the added vectors, or None; each step
         raises the least key, so each row is used at most once."""
         v = dict(vec)

@@ -1,13 +1,13 @@
 """Symmetric-group representation theory: partitions, irreducible characters
 by border-strip recursion, decomposition of class functions, padded-partition
-bookkeeping, and the stability and generation reports."""
+bookkeeping, and the stability and generation reports.  The generation flags
+are read from the support blocks of ``dermodel``, with no FI map or action."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Optional
 
 from .ratlinalg import CheckFailure
 
@@ -167,16 +167,17 @@ def decompose(chi: ClassFunction) -> Decomposition:
     n = chi.n
     # <chi, chi_lam> = sum over mu of |class mu| chi(mu) chi_lam(mu) / n!
     weighted = [(mu, class_size(mu) * chi(mu)) for mu in partitions(n)]
+    order = factorial(n)
     mult: dict[Partition, int] = {}
     for lam, _ in weighted:
-        total = Fraction(sum(w * irr_character(lam, mu) for mu, w in weighted),
-                         factorial(n))
-        if total.denominator != 1 or total < 0:
+        inner = sum(w * irr_character(lam, mu) for mu, w in weighted)
+        total, rest = divmod(inner, order)
+        if rest or total < 0:
             raise NotARepresentation(
-                f"multiplicity of {lam} is {total}; the class function is "
-                "not the character of a representation")
+                f"multiplicity of {lam} is {Fraction(inner, order)}; the "
+                "class function is not the character of a representation")
         if total:
-            mult[lam] = int(total)
+            mult[lam] = total
     dec = Decomposition(n, mult)
     if dec.dim != chi.dim:
         raise NotARepresentation(
@@ -207,8 +208,8 @@ class StabilityReport:
     def __init__(self, model_name: str, mode: str, k: int,
                  n_values: tuple[int, ...], dimensions: dict[int, int],
                  padded_rows: dict[int, dict[Partition, int]],
-                 stabilized_at: Optional[int],
-                 generation: Optional[dict[int, bool]] = None):
+                 stabilized_at: int | None,
+                 generation: dict[int, bool] | None = None):
         self.model_name, self.mode, self.k = model_name, mode, k
         self.n_values, self.dimensions = n_values, dimensions
         self.padded_rows, self.stabilized_at = padded_rows, stabilized_at
@@ -222,7 +223,7 @@ class StabilityReport:
         return stability_verdict(self.stabilized_at, self.n_values)
 
 
-def stability_verdict(onset: Optional[int], n_values) -> str:
+def stability_verdict(onset: int | None, n_values) -> str:
     """The report's wording for a stabilization onset over the ascending
     arity range n_values."""
     if onset is None:
@@ -231,7 +232,7 @@ def stability_verdict(onset: Optional[int], n_values) -> str:
             f"(window {onset}..{n_values[-1]})")
 
 
-def stabilization_onset(n_values, rows) -> Optional[int]:
+def stabilization_onset(n_values, rows) -> int | None:
     """Least n0 whose terminal window (at least two rows) has constant padded
     multiplicities; None when the last two rows already differ."""
     ns = list(n_values)
@@ -283,40 +284,16 @@ def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
     the symmetric-group orbit of the image of the maps from lower arities?
 
     Any injection from a smaller arity factors as a permutation composed
-    with the standard inclusion from m-1, so the orbit of that single image
-    spans the same subspace.
+    with the standard inclusion from m-1, so that orbit is the span of the
+    support parts W_S with S != [m]: H_k(m) is generated from below iff its
+    block W_m(k) is zero, as it is above ``support_bound``.
     """
-    from . import fistab  # imported here to avoid an import cycle
-    from .dermodel import homology
-    from .ratlinalg import extend_echelon
+    from .dermodel import homology, support_bound
 
     ns = tuple(sorted(n_range))
-    out: dict[int, bool] = {}
-    for idx, m in enumerate(ns):
-        if idx == 0:
-            out[m] = False  # nothing below to generate from, by convention
-            continue
-        hm = homology(model, m, k, mode)
-        if hm.dimension == 0:
-            out[m] = True
-            continue
-        inc = fistab.Injection.standard(m - 1, m)
-        image = fistab.homology_map(inc, model, k, mode)
-        generators = [fistab.sigma_action(sigma, model, k, mode)
-                      for sigma in _symmetric_group_generators(m)]
-        span: dict = {}
-        queue = [v for v in image.columns() if extend_echelon(span, v)]
-        while queue and len(span) < hm.dimension:
-            v = queue.pop()
-            queue += [w for w in (g.apply(v) for g in generators)
-                      if extend_echelon(span, w)]
-        out[m] = len(span) == hm.dimension
+    bound = support_bound(model, k)
+    out = {ns[0]: False} if ns else {}  # nothing below, by convention
+    for m in ns[1:]:
+        out[m] = m > bound or not homology(model, m, k, mode,
+                                           block=True).dimension
     return out
-
-
-def _symmetric_group_generators(m: int) -> list[tuple[int, ...]]:
-    if m == 1:
-        return [(0,)]
-    swap = tuple([1, 0] + list(range(2, m)))
-    cycle = tuple(list(range(1, m)) + [0])
-    return [swap, cycle] if m > 2 else [swap]

@@ -1,7 +1,8 @@
 """Engine-level helpers that only the tests use: composition of injections
 and matrices, rank, sums and brackets of Lie elements, generator elements
 and their differentials, the matrix of an injection on derivation slices,
-and the derivation-object route.
+and the derivation-object route, and the orbit-span route to the generation
+flags.
 
 Lie elements are dicts in Lyndon coordinates (``gradedlie.LieVector``).  The
 derivation-object route (``Derivation``, ``apply_derivation``,
@@ -13,11 +14,12 @@ bracket-closure sample, which work on pointed coordinates instead.
 Unlike the independent oracles (``bruteforce``, ``lie_character``), these
 are built from derlie's own layers."""
 
-from derlie.dermodel import DerSlice, Mode, derivation_basis
-from derlie.fistab import Injection, _pushforward
+from derlie.dermodel import DerSlice, Mode, derivation_basis, homology
+from derlie.fistab import Injection, _pushforward, homology_map, sigma_action
 from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
                               apply_values_tensor, tensor_commutator)
-from derlie.ratlinalg import SparseMatrix, _echelon, add_scaled
+from derlie.ratlinalg import (SparseMatrix, _echelon, add_scaled,
+                              extend_echelon)
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
@@ -145,3 +147,38 @@ def induced_slice_map(inj: Injection, model, k: int,
     push = _pushforward(inj, src, tgt)
     return SparseMatrix.from_columns([push({i: 1}) for i in range(src.dim)],
                                      tgt.dim)
+
+
+def generation_by_orbit(model, mode: Mode, k: int, n_range) -> dict[int, bool]:
+    """``reptheory.generation_check`` on full cells: for each arity m beyond
+    the first, whether the orbit of the image of H_k(m-1) -> H_k(m) under
+    two generators of Sigma_m spans H_k(m)."""
+    ns = tuple(sorted(n_range))
+    out: dict[int, bool] = {}
+    for idx, m in enumerate(ns):
+        if idx == 0:
+            out[m] = False  # nothing below to generate from, by convention
+            continue
+        hm = homology(model, m, k, mode)
+        if hm.dimension == 0:
+            out[m] = True
+            continue
+        image = homology_map(Injection.standard(m - 1, m), model, k, mode)
+        generators = [sigma_action(sigma, model, k, mode)
+                      for sigma in _symmetric_group_generators(m)]
+        span: dict = {}
+        queue = [v for v in image.columns() if extend_echelon(span, v)]
+        while queue and len(span) < hm.dimension:
+            v = queue.pop()
+            queue += [w for w in (g.apply(v) for g in generators)
+                      if extend_echelon(span, w)]
+        out[m] = len(span) == hm.dimension
+    return out
+
+
+def _symmetric_group_generators(m: int) -> list[tuple[int, ...]]:
+    if m == 1:
+        return [(0,)]
+    swap = tuple([1, 0] + list(range(2, m)))
+    cycle = tuple(list(range(1, m)) + [0])
+    return [swap, cycle] if m > 2 else [swap]

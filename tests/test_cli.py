@@ -347,13 +347,17 @@ def test_cost_guard_counts_only_built_slices(monkeypatch):
     report, code = run(job(k_values=(1,), n_values=(5,), max_dim=18))
     assert code == EXIT_OK
     assert report["cells"][0]["dim"] == 75
-    # the generation and consistency checks build the full cells
-    for check in ("check_generation", "check_consistency"):
-        report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
-                               **{check: True}))
-        assert code == EXIT_RESOURCE_CAP
-        assert "(n=5, k=1) too large: predicted dimension 75" in \
-            report["error"]
+    # the consistency check builds the full cells; the generation flags
+    # read the blocks the cells are built from
+    report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
+                           check_consistency=True))
+    assert code == EXIT_RESOURCE_CAP
+    assert "(n=5, k=1) too large: predicted dimension 75" in report["error"]
+    report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
+                           check_generation=True))
+    assert code == EXIT_OK
+    assert {"name": "generation", "outcome": "info",
+            "flags": {"k=1": {"4": False, "5": True}}} in report["checks"]
     # the sampled bracket-closure slice is a full one (288 at n = 4)
     report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
                            k_values=(1,), n_values=(4, 5), max_dim=200))
@@ -485,14 +489,15 @@ def test_existing_output_kept_until_the_report_is_written(tmp_path,
 
 @pytest.mark.parametrize("module", ["concurrent.futures.process",
                                     "dataclasses", "inspect", "_hashlib",
-                                    "importlib.resources"])
+                                    "importlib.resources", "typing"])
 def test_import_does_not_load(module):
     # start-up is most of a small job (OpenSSL's libcrypto, which _hashlib
     # maps, alone is about 3.5 MB of peak RSS); -S keeps the .pth files of
     # site-packages from importing a module or hiding one
     import derlie
     src = str(Path(derlie.__file__).resolve().parents[1])
-    code = f"import sys, derlie.cli; print({module!r} in sys.modules)"
+    code = ("import sys, derlie.cli, derlie.fistab, derlie.reptheory; "
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
@@ -518,6 +523,28 @@ def _isolated_job(argv, out):
     return int(exit_code), set(modules)
 
 
+@pytest.mark.parametrize("model_path", ["sphere2", "s3xs3-product"])
+def test_generation_check_builds_only_blocks(monkeypatch, model_path):
+    # every homology or slice the job asks for, through any module's
+    # binding, is a full-support block
+    from derlie import cli as climod, dermodel, fistab
+    calls = []
+    for name in ("homology", "derivation_basis"):
+        def spy(model, n, k, mode=Mode.POINTED, block=False, _name=name,
+                _real=getattr(dermodel, name)):
+            calls.append((_name, n, k, block))
+            return _real(model, n, k, mode, **dermodel._flag(block))
+        for module in (dermodel, fistab, climod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    report, code = run(job(model_path=model_path, n_values=(1, 2, 3, 4),
+                           check_generation=True))
+    assert code == EXIT_OK
+    assert any(c["name"] == "generation" for c in report["checks"])
+    assert calls
+    assert [c for c in calls if not c[3]] == []
+
+
 def _same_report_in_process(argv, out, tmp_path):
     expected = tmp_path / "in-process.out"
     assert main(argv + ["--workers", "1", "--output", str(expected)]) == \
@@ -541,7 +568,8 @@ def test_dimension_only_job_loads_no_character_layer(tmp_path, argv):
     (["--decompose"], CHARACTER_LAYER),
     (["--decompose", "--format", "json"], CHARACTER_LAYER),
     (["--check-consistency"], CHARACTER_LAYER),
-    (["--check-generation"], CHARACTER_LAYER),
+    # the generation flags read the blocks, with no action or FI map
+    (["--check-generation"], {"derlie.reptheory"}),
     # the pool's workers load fistab; the job's own process may not
     (["--decompose", "--workers", "2"], None),
 ])

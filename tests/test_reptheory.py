@@ -114,13 +114,15 @@ def test_decompose_regular_rep_of_sigma3():
 
 def test_decompose_rejects_fractional():
     chi = ClassFunction(2, {(1, 1): F(1), (2,): F(0)})
-    with pytest.raises(NotARepresentation):
+    with pytest.raises(NotARepresentation, match=r"^multiplicity of \(2,\) "
+                       r"is 1/2; the class function is not the character"):
         decompose(chi)
 
 
 def test_decompose_rejects_negative():
     chi = ClassFunction(2, {(1, 1): F(2), (2,): F(-4)})
-    with pytest.raises(NotARepresentation):
+    with pytest.raises(NotARepresentation,
+                       match=r"^multiplicity of \(2,\) is -1; "):
         decompose(chi)
 
 

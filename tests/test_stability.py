@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 import lie_character
-from helpers import compose, rank
+from helpers import compose, generation_by_orbit, rank
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode, derivation_basis, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
@@ -119,17 +119,18 @@ def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
     ("product_model", Mode.POINTED, (1, 2), 4),
     ("s2xs2", Mode.BOUNDARY, (1, 2), 4),
     ("cp3", Mode.POINTED, (1, 2), 4),
-    ("sphere2", Mode.POINTED, (1, 2, 3), 5)])
+    ("sphere2", Mode.POINTED, (1, 2, 3), 5),
+    ("cp3", Mode.BOUNDARY, (1, 2), 4),
+    ("s3xs3", Mode.BOUNDARY, (1, 2), 4)])
 def test_generation_flags_match_the_empty_blocks(request, name, mode, ks,
                                                  n_max):
-    # the injections [m-1] -> [m] reach exactly the blocks S != [m], so
-    # H_k(m) is generated from below iff the block W_m(k) is zero
+    # the injections [m-1] -> [m] reach exactly the blocks S != [m], so the
+    # flags read from the blocks equal the orbit span on the full cells
     model = request.getfixturevalue(name)
     for k in ks:
-        flags = generation_check(model, mode, k, range(1, n_max + 1))
-        for m in range(2, n_max + 1):
-            w = homology(model, m, k, mode, block=True).dimension
-            assert flags[m] == (w == 0), (k, m, w)
+        n_range = range(1, n_max + 1)
+        assert generation_check(model, mode, k, n_range) == \
+            generation_by_orbit(model, mode, k, n_range), k
 
 
 def test_boundary_report(s2xs2):
