@@ -98,6 +98,20 @@ class ValidationError(Exception):
 # ---- bracket-expression parsing ----------------------------------------------
 
 
+def _parse_number(text: str, line: int, col: int, rational: bool = False):
+    """text, which starts at the given column of its line, as an optional
+    '-' and decimal digits (str.isdecimal, as the tokenizer reads them),
+    then, for a rational, an optional '/' and more digits."""
+    num, slash, den = text.partition("/") if rational else (text, "", "")
+    try:
+        if num.removeprefix("-").isdecimal() and (
+                not slash or den.isdecimal() and int(den)):
+            return Fraction(int(num), int(den)) if slash else int(num)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"bad number {text!r}", line, col)
+
+
 def _tokenize(text: str, line: int, col: int) -> list[tuple[str, object, int]]:
     """Tokens of text, which starts at the given column of its line; each
     token carries its own column."""
@@ -116,7 +130,8 @@ def _tokenize(text: str, line: int, col: int) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), col + i))
+            tokens.append(("int", _parse_number(text[i:j], line, col + i),
+                           col + i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -202,17 +217,6 @@ def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
     return result
 
 
-def _parse_rational_literal(text: str, line: int) -> Fraction:
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}", line)
-
-
 # ---- model file parsing --------------------------------------------------------
 
 
@@ -237,7 +241,8 @@ def parse_model_text(text: str) -> ModelSpec:
             if ":" not in stripped:
                 raise ParseError("expected 'key: value' or a section header",
                                  lineno)
-            key, _, value = stripped.partition(":")
+            key, _, value = line.partition(":")
+            value_col = len(line) - len(value.lstrip()) + 1
             key = key.strip()
             value = value.strip()
             if key in seen:
@@ -251,10 +256,7 @@ def parse_model_text(text: str) -> ModelSpec:
             elif key == "name":
                 name = value
             elif key == "ambient_dim":
-                try:
-                    ambient = int(value)
-                except ValueError:
-                    raise ParseError(f"bad ambient_dim {value!r}", lineno)
+                ambient = _parse_number(value, lineno, value_col)
             elif key == "minimal":
                 if value not in ("yes", "no", "true", "false"):
                     raise ParseError("minimal must be yes or no", lineno)
@@ -272,10 +274,7 @@ def parse_model_text(text: str) -> ModelSpec:
         key = key.strip()
         value = value.strip()
         if section == "generators":
-            try:
-                degree = int(value)
-            except ValueError:
-                raise ParseError(f"bad generator degree {value!r}", lineno)
+            degree = _parse_number(value, lineno, value_col)
             tokens = _tokenize(key, lineno, key_col)
             if [tok[:2] for tok in tokens] != [("sym", key)]:
                 raise ParseError(f"bad generator symbol {key!r}", lineno)
@@ -290,8 +289,8 @@ def parse_model_text(text: str) -> ModelSpec:
             if len(syms) != 2:
                 raise ParseError(
                     "pairing entries look like 'sym sym: rational'", lineno)
-            pairing.append((syms[0], syms[1],
-                            _parse_rational_literal(value, lineno)))
+            pairing.append((syms[0], syms[1], _parse_number(
+                value, lineno, value_col, rational=True)))
 
     if name is None:
         raise ParseError("missing 'name' field", 1)
@@ -323,23 +322,26 @@ def resolve_model_path(spec: str) -> tuple[str, bytes]:
         + ", ".join(bundled_model_names()))
 
 
-def _decode_model(raw: bytes) -> str:
+def _read_model(spec: str) -> tuple[bytes, ModelSpec]:
+    """The raw bytes and the parsed, validated model of a model file path or
+    bundled name; raises OSError, ParseError or ValidationError."""
+    _, raw = resolve_model_path(spec)
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"model file is not UTF-8: {exc.reason}",
                          raw[:exc.start].count(b"\n") + 1)
+    model = parse_model_text(text)
+    problems = validate_model(model)
+    if problems:
+        raise ValidationError(problems)
+    return raw, model
 
 
 def load_model(path: str) -> ModelSpec:
     """Parse and validate a model file; raises ParseError or
     ValidationError."""
-    _, raw = resolve_model_path(path)
-    model = parse_model_text(_decode_model(raw))
-    problems = validate_model(model)
-    if problems:
-        raise ValidationError(problems)
-    return model
+    return _read_model(path)[1]
 
 
 # ---- jobs ----------------------------------------------------------------------
@@ -542,9 +544,7 @@ def _is_partition(text: str, n: int | None = None) -> bool:
 
 
 def _cell_worker(args) -> dict:
-    model_text, mode_value, n, k, decompose = args
-    model = parse_model_text(model_text)
-    return _compute_cell(model, Mode(mode_value), n, k, decompose)
+    return _compute_cell(*args)
 
 
 def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
@@ -710,28 +710,22 @@ def _run_checks(model: ModelSpec, job: JobSpec,
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job; returns (report, exit code)."""
     try:
-        _, raw = resolve_model_path(job.model_path)
-    except OSError as exc:
-        return _error_report(job, "validation-error", str(exc)), \
-            EXIT_VALIDATION
-    model_sha = sha256(raw).hexdigest()
-    try:
-        text = _decode_model(raw)
-        model = parse_model_text(text)
-        problems = validate_model(model)
-        if problems:
-            raise ValidationError(problems)
+        raw, model = _read_model(job.model_path)
     except ParseError as exc:
-        return _error_report(job, "parse-error", str(exc)), EXIT_VALIDATION
+        return _report(job, "parse-error", error=str(exc)), EXIT_VALIDATION
     except ValidationError as exc:
-        return _error_report(job, "validation-error", exc.problems), \
+        return _report(job, "validation-error", error=exc.problems), \
             EXIT_VALIDATION
-
+    except OSError as exc:
+        return _report(job, "validation-error", error=str(exc)), \
+            EXIT_VALIDATION
     try:
         _require_boundary_data(model, job.mode)
     except ValueError as exc:
-        return _error_report(job, "validation-error", str(exc)), \
+        return _report(job, "validation-error", error=str(exc)), \
             EXIT_VALIDATION
+    model_sha = sha256(raw).hexdigest()
+    ident = {"name": model.name, "sha256": model_sha}
 
     full = job.check_consistency
     if job.decompose:
@@ -742,19 +736,18 @@ def run(job: JobSpec) -> tuple[dict, int]:
             if job.decompose:  # a character has one value per cycle type
                 cost = max(cost, partition_count(n))
             if cost > job.max_dim:
-                report = _error_report(
-                    job, "resource-cap",
-                    f"cell (n={n}, k={k}) too large: predicted dimension "
-                    f"{cost} exceeds max-dim {job.max_dim}")
-                report["model"] = {"name": model.name, "sha256": model_sha}
-                return report, EXIT_RESOURCE_CAP
+                return _report(
+                    job, "resource-cap", ident,
+                    error=f"cell (n={n}, k={k}) too large: predicted "
+                          f"dimension {cost} exceeds max-dim {job.max_dim}"
+                ), EXIT_RESOURCE_CAP
 
     if job.cache_dir is not None:
         try:
             os.makedirs(job.cache_dir, exist_ok=True)
         except OSError as exc:
-            return _error_report(job, "validation-error",
-                                 f"cache dir unusable: {exc}"), \
+            return _report(job, "validation-error",
+                           error=f"cache dir unusable: {exc}"), \
                 EXIT_VALIDATION
 
     cells = []
@@ -770,67 +763,56 @@ def run(job: JobSpec) -> tuple[dict, int]:
 
     try:
         if pending:
+            args = [(model, job.mode, n, k, job.decompose)
+                    for n, k, _ in pending]
             pool_size = min(job.workers, len(pending), os.cpu_count() or 1)
             if pool_size > 1:
                 from concurrent.futures import ProcessPoolExecutor
-                args = [(text, job.mode.value, n, k, job.decompose)
-                        for n, k, _ in pending]
                 with ProcessPoolExecutor(max_workers=pool_size) as pool:
                     results = list(pool.map(_cell_worker, args))
             else:
-                results = [_compute_cell(model, job.mode, n, k,
-                                         job.decompose)
-                           for n, k, _ in pending]
+                results = list(map(_cell_worker, args))
             for (n, k, key), cell in zip(pending, results):
                 _cache_write(job.cache_dir, key, cell)
                 cells.append(cell)
         checks, stability = _run_checks(model, job, cells)
     except CheckFailure as exc:
-        report = _error_report(job, "check-failure",
-                               f"{type(exc).__name__}: {exc}")
-        report["model"] = {"name": model.name, "sha256": model_sha}
-        return report, EXIT_CHECK_FAILURE
+        return _report(job, "check-failure", ident,
+                       error=f"{type(exc).__name__}: {exc}"), \
+            EXIT_CHECK_FAILURE
 
     cells.sort(key=lambda c: (c["mode"], c["k"], c["n"]))
     failed = any(c.get("outcome") == "fail" for c in checks)
-    report = {
-        "schema": SCHEMA,
-        "engine": ENGINE_VERSION,
-        "model": {"name": model.name, "sha256": model_sha},
-        "job": _job_echo(job),
-        "cells": cells,
-        "stability": stability,
-        "checks": checks,
-        "status": "check-failure" if failed else "ok",
-    }
-    return report, EXIT_CHECK_FAILURE if failed else EXIT_OK
+    return _report(job, "check-failure" if failed else "ok", ident,
+                   cells=cells, stability=stability, checks=checks), \
+        EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
-def _job_echo(job: JobSpec) -> dict:
-    return {
-        "mode": job.mode.value,
-        "k": list(job.k_values),
-        "n": list(job.n_values),
-        "decompose": job.decompose,
-        "check_consistency": job.check_consistency,
-        "check_generation": job.check_generation,
-        "check_pbw": job.check_pbw,
-        "seed": job.seed,
-        "max_dim": job.max_dim,
-    }
-
-
-def _error_report(job: JobSpec, status: str, detail) -> dict:
+def _report(job: JobSpec, status: str, model: dict | None = None,
+            **fields) -> dict:
+    """The report of a job: the model's name and sha256 (both None when it
+    is not known), the job echo, and the given fields over empty cells,
+    stability and checks; an error report has an "error" field."""
     return {
         "schema": SCHEMA,
         "engine": ENGINE_VERSION,
-        "model": {"name": None, "sha256": None},
-        "job": _job_echo(job),
+        "model": model or {"name": None, "sha256": None},
+        "job": {
+            "mode": job.mode.value,
+            "k": list(job.k_values),
+            "n": list(job.n_values),
+            "decompose": job.decompose,
+            "check_consistency": job.check_consistency,
+            "check_generation": job.check_generation,
+            "check_pbw": job.check_pbw,
+            "seed": job.seed,
+            "max_dim": job.max_dim,
+        },
         "cells": [],
         "stability": [],
         "checks": [],
         "status": status,
-        "error": detail,
+        **fields,
     }
 
 

@@ -215,7 +215,7 @@ def derivation_basis(model: ModelSpec, n: int, k: int,
         coords += [(gid, e) for mask, e in masks[degree] if mask | bit == full]
 
     if mode is Mode.BOUNDARY:
-        omega(model, n)  # its cycle, invariance and pairing checks run here
+        omega(model, n)  # its cycle and pairing checks run at arity 1
     return DerSlice(model, n, k, mode, genset, coords, block)
 
 

@@ -1,8 +1,35 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import derlie
 from derlie.gradedlie import ModelSpec
+
+# Every memoized function of the engine, collected once at import, so that a
+# spy a test installs over one of them does not hide the memo behind it.
+MEMOS = tuple({
+    id(fn): fn
+    for info in pkgutil.iter_modules(derlie.__path__)
+    for fn in vars(importlib.import_module(f"derlie.{info.name}")).values()
+    if hasattr(fn, "cache_clear")}.values())
+
+
+def forget_memos():
+    """Clear every memo: generator sets, omega, slices, matrices, homology,
+    actions and irreducible characters."""
+    for fn in MEMOS:
+        fn.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Forget every memo before and after the test, so that a spy meets no
+    old entry and a patched layer leaves none behind."""
+    forget_memos()
+    yield
+    forget_memos()
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Engine-level helpers that only the tests use: composition of injections
 and matrices, rank, sums and brackets of Lie elements, generator elements
 and their differentials, the matrix of an injection on derivation slices,
-and the derivation-object route, and the orbit-span route to the generation
-flags.
+the derivation-object route, the orbit-span route to the generation flags,
+and the tensor route to omega_n.
 
 Lie elements are dicts in Lyndon coordinates (``gradedlie.LieVector``).  The
 derivation-object route (``Derivation``, ``apply_derivation``,
@@ -14,10 +14,15 @@ bracket-closure sample, which work on pointed coordinates instead.
 Unlike the independent oracles (``bruteforce``, ``lie_character``), these
 are built from derlie's own layers."""
 
+from fractions import Fraction
+
 from derlie.dermodel import DerSlice, Mode, derivation_basis, homology
 from derlie.fistab import Injection, _pushforward, homology_map, sigma_action
 from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
-                              apply_values_tensor, tensor_commutator)
+                              TensorVector, apply_differential,
+                              apply_values_tensor, dual_basis,
+                              free_product_generators, relabel_element,
+                              tensor_commutator)
 from derlie.ratlinalg import (SparseMatrix, _echelon, add_scaled,
                               extend_echelon)
 
@@ -182,3 +187,33 @@ def _symmetric_group_generators(m: int) -> list[tuple[int, ...]]:
     swap = tuple([1, 0] + list(range(2, m)))
     cycle = tuple(list(range(1, m)) + [0])
     return [swap, cycle] if m > 2 else [swap]
+
+
+def omega_by_tensor(model, n: int) -> LieVector:
+    """``gradedlie.omega`` by the sum over all n*m generators: the tensor
+    (1/2) sum [(a_i^j)^#, a_i^j], re-expressed in the arity-n Lyndon basis,
+    sign-normalized, and checked to be a cycle invariant under each
+    adjacent summand transposition."""
+    duals = dual_basis(model)
+    genset = free_product_generators(model, n)
+    base = free_product_generators(model, 1)
+    d = model.ambient_dim
+    total: TensorVector = {}
+    for j in range(n):
+        for i, (sym, deg) in enumerate(model.generators):
+            dual_vec = genset.to_tensor(
+                relabel_element(base, genset, (j,), duals[sym]))
+            term = tensor_commutator(dual_vec, {(genset.gen_id(i, j),): 1},
+                                     d - 2 - deg, deg)
+            add_scaled(total, Fraction(1, 2), term)
+    elem = genset.from_tensor(d - 2, total)
+    assert elem, "intersection element vanished"
+    if elem[min(elem)] < 0:
+        elem = {b: -c for b, c in elem.items()}
+    assert not apply_differential(genset, elem), f"d(omega_{n}) != 0"
+    for t in range(n - 1):
+        swap = list(range(n))
+        swap[t], swap[t + 1] = t + 1, t
+        assert relabel_element(genset, genset, swap, elem) == elem, \
+            f"omega_{n} not invariant under ({t + 1},{t + 2})"
+    return elem

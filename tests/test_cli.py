@@ -1,14 +1,19 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import forget_memos
 from derlie.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_OK,
@@ -25,9 +30,11 @@ from derlie.cli import (
     parse_bracket_expression,
     parse_model_text,
     parse_range,
+    resolve_model_path,
     run,
 )
 from derlie.dermodel import Mode
+from derlie.gradedlie import validate_model
 from derlie.reptheory import stability_report
 
 F = Fraction
@@ -148,6 +155,105 @@ def test_parse_model_rejects_ambiguous_files(tmp_path, capsys, text, line):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "parse-error"
     assert report["error"].startswith(f"line {line}, ")
+
+
+@pytest.mark.parametrize("old,new,line,col", [
+    ("  a: 1", "  a: 1_0", 4, 6),
+    ("  a: 1", "  a: +1", 4, 6),
+    ("  a: 1", "  a: 1 0", 4, 6),
+    ("  a: 1", "  a: \u00b2", 4, 6),
+    ("ambient_dim: 6", "ambient_dim: 0_6", 2, 14),
+    ("ambient_dim: 6", "ambient_dim: +6", 2, 14),
+    ("  a b: 1", "  a b: 1_0", 9, 8),
+    ("  a b: 1", "  a b: -1/-2", 9, 8),
+    ("  a b: 1", "  a b: 1/+2", 9, 8),
+    ("  a b: 1", "  a b: 1 / 2", 9, 8),
+    ("  a b: 1", "  a b: 1/0", 9, 8),
+    ("  a b: 1", "  a b: 1/2/3", 9, 8),
+    # more digits than int() converts
+    ("  a: 1", "  a: " + "1" * 5000, 4, 6),
+    ("  b: 1/2 [a, a]", "  b: " + "1" * 5000 + " [a, a]", 7, 6),
+], ids=["degree-underscore", "degree-plus", "degree-space",
+        "degree-superscript", "ambient-underscore", "ambient-plus",
+        "pairing-underscore", "pairing-negative-denominator",
+        "pairing-plus-denominator", "pairing-spaced-slash",
+        "pairing-zero-denominator", "pairing-two-slashes",
+        "degree-too-long", "coefficient-too-long"])
+def test_numbers_have_one_grammar(tmp_path, capsys, old, new, line, col):
+    # an optional '-' and decimal digits, and for a pairing value an
+    # optional '/' and more digits, as in a differential's coefficients
+    text = CP3.replace(old, new)
+    assert text.splitlines()[line - 1][col - 1:] == new.partition(": ")[2]
+    path = tmp_path / "bad.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--model", str(path), "--k", "1", "--n", "1",
+                 "--format", "json"]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "parse-error"
+    assert report["error"].startswith(f"line {line}, col {col}: bad number ")
+
+
+def test_numbers_in_the_grammar_parse():
+    model = parse_model_text(CP3.replace("  a b: 1", "  a b: -3/2")
+                             .replace("ambient_dim: 6", "ambient_dim: \u0666")
+                             .replace("  b: 3", "  b: -3"))
+    assert model.pairing == (("a", "b", F(-3, 2)),)
+    assert model.ambient_dim == 6  # an Arabic-Indic six, a decimal digit
+    assert model.generators == (("a", 1), ("b", -3))
+    # a negative degree parses, and validation reports it
+    assert any("simple-connectivity" in p for p in validate_model(model))
+
+
+MUTATIONS = ("drop", "duplicate", "swap", "splice", "insert")
+# separators and digits that the grammar refuses or reads, and letters
+# outside ASCII
+INSERTS = "_+\u00b2\u0661\u00e9\u03bb\u0416"
+
+
+@st.composite
+def mutated_model_text(draw):
+    """A bundled model file after one to three line edits: a line dropped,
+    duplicated or swapped with another, a token of one line spliced into
+    another, or one character inserted."""
+    _, raw = resolve_model_path(draw(st.sampled_from(bundled_model_names())))
+    lines = raw.decode("utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(MUTATIONS))
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in ("splice", "insert"):
+            piece = draw(st.sampled_from(lines[i].split() or [""])) \
+                if op == "splice" else draw(st.sampled_from(INSERTS))
+            at = draw(st.integers(0, len(lines[j])))
+            lines[j] = lines[j][:at] + piece + lines[j][at:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_model_text())
+def test_mutated_model_files_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.model")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["compute", "--model", path, "--k", "1", "--n", "1..2",
+                "--max-dim", "2000"]
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0][0] in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE,
+                          EXIT_RESOURCE_CAP)
+    assert "Traceback" not in runs[0][2]
+    assert runs[0] == runs[1]
 
 
 def test_parse_model_keeps_tokenizer_symbols():
@@ -271,24 +377,7 @@ def test_cli_boundary_without_pairing_is_one_error_line(capsys):
     assert "Traceback" not in captured.out
 
 
-def forget_slices():
-    from derlie.dermodel import derivation_basis, differential_matrix, homology
-    from derlie.fistab import homology_map, sigma_action
-    for fn in (derivation_basis, differential_matrix, homology, homology_map,
-               sigma_action):
-        fn.cache_clear()
-
-
-@pytest.fixture
-def fresh_slices():
-    """Forget memoized slices before and after, so a patched count neither
-    meets an old slice nor leaves one behind."""
-    forget_slices()
-    yield
-    forget_slices()
-
-
-def test_wrong_boundary_count_is_a_check_failure(monkeypatch, fresh_slices):
+def test_wrong_boundary_count_is_a_check_failure(monkeypatch, cold_caches):
     from derlie import dermodel
     from derlie.gradedlie import lie_dim
     monkeypatch.setattr(dermodel, "lie_dim", lambda *a: lie_dim(*a) - 1)
@@ -320,7 +409,7 @@ def largest_listed(monkeypatch, spec) -> int:
     pointed dimension of the degree-k and k + 1 slices listed at one arity
     (a block lists the full slices it filters)."""
     from derlie import dermodel
-    forget_slices()  # a memo hit would not reach the spy
+    forget_memos()  # a memo hit would not reach the spy
     (k,) = spec.k_values
     real, seen = dermodel.derivation_basis, set()
 

@@ -255,14 +255,6 @@ def test_delta_matches_leibniz_route_and_dense_oracle(request, name, mode):
     assert oracle_checked >= 4
 
 
-@pytest.fixture
-def cold_caches():
-    """Forget every memoized generator set, slice, matrix and homology."""
-    for fn in (free_product_generators, omega, derivation_basis,
-               differential_matrix, homology):
-        fn.cache_clear()
-
-
 def test_pointed_slice_builds_no_expansion(product_model, cold_caches):
     for n, k in [(1, 1), (2, 2), (3, 3), (4, 2)]:
         sl = derivation_basis(product_model, n, k, Mode.POINTED)
@@ -669,10 +661,8 @@ def test_blocks_vanish_above_the_support_bound(request, name, mode, ks):
             == 0, k
 
 
-def test_dimensions_build_no_full_differential(monkeypatch):
+def test_dimensions_build_no_full_differential(monkeypatch, cold_caches):
     from derlie.cli import EXIT_OK, JobSpec, run
-    for fn in (derivation_basis, differential_matrix, homology):
-        fn.cache_clear()
     calls = []
     real = dermodel.differential_matrix
 

@@ -449,10 +449,9 @@ def test_trace_character_matches_action_diagonal(request, monkeypatch, name,
                                        ("cp3", Mode.POINTED),
                                        ("cp3", Mode.BOUNDARY)])
 def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
-                                                     name, mode):
+                                                     cold_caches, name, mode):
+    # cold_caches: a memo hit would not reach homology_map
     model = request.getfixturevalue(name)
-    sigma_action.cache_clear()  # a memo hit would not reach homology_map
-    homology_map.cache_clear()
     calls = spy_on_actions(monkeypatch)
     chi = character(model, 2, 1, mode)
     assert ("sigma_action", True) in calls
@@ -485,11 +484,9 @@ def test_differential_that_vanishes_matches_the_plain_model(tmp_path):
     assert any(dim for _, _, dim in reports[0])
 
 
-def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch):
+def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch,
+                                                     cold_caches):
     # dimensions are counts; a character builds the kernels of its blocks
-    for fn in (free_product_generators, omega, derivation_basis,
-               differential_matrix, homology, sigma_action, homology_map):
-        fn.cache_clear()
     calls = []
 
     def spy(m):
@@ -514,9 +511,7 @@ def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch):
     assert calls[-1] == full.pointed_dim  # the spy sees a full kernel too
 
 
-def test_each_injection_is_computed_once(monkeypatch):
-    sigma_action.cache_clear()
-    homology_map.cache_clear()
+def test_each_injection_is_computed_once(monkeypatch, cold_caches):
     pushed = []
     original = fistab._pushforward
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from helpers import bracket, differential_of, generator_element, plus, scale
+from helpers import (bracket, differential_of, generator_element,
+                     omega_by_tensor, plus, scale)
 from derlie.cli import bundled_model_names, load_model
 from derlie.gradedlie import (
     GeneratorSet,
-    InvarianceFailure,
     LieBasisElement,
     ModelSpec,
     SingularPairing,
@@ -496,6 +496,28 @@ def test_omega_invariance_up_to_arity_4(s2xs2, cp2):
             for sigma in itertools.permutations(range(n)):
                 mapping = {j: sigma[j] for j in range(n)}
                 assert relabel_element(g, g, mapping, w) == w
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs3", "cp2", "cp3"])
+def test_omega_copies_match_the_tensor_route(request, name):
+    # omega_n is omega_1 on each summand; the oracle sums all n*m brackets,
+    # solves in the arity-n slice and checks every adjacent transposition
+    model = request.getfixturevalue(name)
+    for n in range(1, 6):
+        w, expected = omega(model, n), omega_by_tensor(model, n)
+        assert w == expected, n
+        assert list(w.items()) == list(expected.items()), n
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "cp3"])
+def test_omega_builds_no_slice_solver_above_arity_one(request, cold_caches,
+                                                      name):
+    model = request.getfixturevalue(name)
+    omega(model, 4)
+    sl = free_product_generators(model, 4)._slices.get(model.ambient_dim - 2)
+    assert sl is None or "solver" not in vars(sl)
+    assert "solver" in vars(free_product_generators(model, 1).slice(
+        model.ambient_dim - 2))
 
 
 @pytest.mark.parametrize("name", ["sphere2", "s2xs2", "cp3"])
