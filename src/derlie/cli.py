@@ -50,6 +50,7 @@ from .dermodel import (
     Mode,
     _require_boundary_data,
     derivation_basis,
+    generation_flags,
     homology,
     support_bound,
     support_sum,
@@ -67,7 +68,8 @@ from .gradedlie import (
 from .ratlinalg import CheckFailure, add_scaled
 
 # fistab and reptheory, the character layer, are imported where a job uses
-# them, so that a dimension-only job does not compile them.
+# them, so that a dimension-only or generation-only job does not compile
+# them.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -145,11 +147,16 @@ def _tokenize(text: str, line: int, col: int) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# The parser recurses three times per bracket level, so a deeper expression
+# is refused before Python's recursion limit is reached.
+MAX_BRACKET_DEPTH = 100
+
+
 def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
     """Parse a sum of rational multiples of nested brackets into
     ``[(coefficient, node), ...]`` terms; text starts at column col."""
     tokens = _tokenize(text, line, col)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", None,
@@ -175,16 +182,22 @@ def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
         return Fraction(num)
 
     def parse_atom() -> list:
+        nonlocal depth
         tok = peek()
         if tok[0] == "sym":
             take()
             return [(Fraction(1), tok[1])]
         if tok[0] == "[":
+            if depth == MAX_BRACKET_DEPTH:
+                raise ParseError(f"brackets nest more than "
+                                 f"{MAX_BRACKET_DEPTH} deep", line, tok[2])
+            depth += 1
             take("[")
             left = parse_sum()
             take(",")
             right = parse_sum()
             take("]")
+            depth -= 1
             return [(cl * cr, (nl, nr)) for cl, nl in left
                     for cr, nr in right]
         raise ParseError(f"expected a generator or '[', found {tok[1]!r}",
@@ -434,20 +447,21 @@ def _checksum(cell: dict) -> str:
 
 
 def _cache_read(cache_dir: str | None, key: str) -> dict | None:
-    """The cached cell, or None when the entry is missing, unreadable, or
-    stored under another key or checksum than its own."""
+    """The cached cell, or None when the entry is missing, unreadable, nested
+    deeper than the json module recurses, or stored under another key or
+    checksum than its own."""
     if cache_dir is None:
         return None
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             value = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (not isinstance(value, dict) or value.pop("key", None) != key
-            or value.pop("sha256", None) != _checksum(value)):
-        return None
-    return value
+        if (isinstance(value, dict) and value.pop("key", None) == key
+                and value.pop("sha256", None) == _checksum(value)):
+            return value
+    except (OSError, ValueError, RecursionError):
+        pass
+    return None
 
 
 def _cache_write(cache_dir: str | None, key: str, cell: dict) -> None:
@@ -498,24 +512,33 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
 def _is_cell(entry: dict | None, mode: Mode, n: int, k: int,
              decompose: bool) -> bool:
     """Whether a cache entry holds exactly the fields _compute_cell writes
-    for this cell, each in the form it writes; anything else is a miss and
-    gets rewritten."""
+    for this cell, each in the form it writes: a character value at every
+    cycle type of n, the identity's equal to dim; positive multiplicities
+    of partitions of n; and their padded re-indexing.  Anything else is a
+    miss and gets rewritten."""
     fields = {"mode", "n", "k", "dim"}
     if decompose:
         fields |= {"character", "decomposition", "padded"}
     if not (entry is not None and entry.keys() == fields
-            and (entry["mode"], entry["n"], entry["k"]) == (mode.value, n, k)
-            and _is_count(entry["dim"])):
+            and entry["mode"] == mode.value
+            and all(_is_count(entry[f]) for f in ("n", "k", "dim"))
+            and (entry["n"], entry["k"]) == (n, k)):
         return False
     if not decompose:
         return True
+    from .reptheory import partition_count
     chi, dec, padded = (entry[f] for f in ("character", "decomposition",
                                            "padded"))
     return (all(isinstance(t, dict) for t in (chi, dec, padded))
+            and len(chi) == partition_count(n)
             and all(_is_partition(mu, n) and _is_rational(v)
                     for mu, v in chi.items())
-            and all(_is_partition(lam) and _is_count(m)
-                    for lam, m in [*dec.items(), *padded.items()]))
+            and chi[partition_str((1,) * n)] == str(entry["dim"])
+            and all(_is_partition(lam, n) and _is_count(m) and m > 0
+                    for lam, m in dec.items())
+            and padded == {partition_str(partition_from_str(lam)[1:]): m
+                           for lam, m in dec.items()}
+            and all(type(m) is int for m in padded.values()))
 
 
 def _is_count(value) -> bool:
@@ -674,29 +697,18 @@ def _run_checks(model: ModelSpec, job: JobSpec,
                                  f"{count} stabilizer checks"})
 
     if job.check_generation:
-        from . import reptheory
-        flags = {}
-        for k in job.k_values:
-            table = reptheory.generation_check(model, job.mode, k,
-                                               job.n_values)
-            flags[f"k={k}"] = {str(n): bool(v)
-                               for n, v in sorted(table.items())}
+        flags = {f"k={k}": {str(n): v for n, v in generation_flags(
+                     model, job.mode, k, job.n_values).items()}
+                 for k in job.k_values}
         checks.append({"name": "generation", "outcome": "info",
                        "flags": flags})
 
     if job.decompose:
         from . import reptheory
-        ns = sorted(job.n_values)
         for k in job.k_values:
-            rows = {c["n"]: {partition_from_str(s): m
-                             for s, m in c["padded"].items()}
-                    for c in cells if c["k"] == k}
-            onset = reptheory.stabilization_onset(ns, rows)
-            stability.append({
-                "k": k,
-                "stabilized_at": onset,
-                "verdict": reptheory.stability_verdict(onset, ns),
-            })
+            stability.append(reptheory.stability_report(
+                k, job.n_values,
+                {c["n"]: c["padded"] for c in cells if c["k"] == k}))
 
     if job.mode is Mode.BOUNDARY:
         checks.append(_closure_spot_check(model, job))

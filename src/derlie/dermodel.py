@@ -308,3 +308,21 @@ def homology(model: ModelSpec, n: int, k: int,
     quotient = ratlinalg.quotient_basis(cycles, boundaries)
     return HomologySlice(model, n, k, mode, quotient.dim,
                          list(quotient.representatives), quotient, delta_k)
+
+
+def generation_flags(model: ModelSpec, mode: Mode, k: int, n_values
+                     ) -> dict[int, bool]:
+    """For each arity m in the range beyond the first: is H_k(m) spanned by
+    the symmetric-group orbit of the image of the maps from lower arities?
+
+    Any injection from a smaller arity factors as a permutation composed
+    with the standard inclusion from m-1, so that orbit is the span of the
+    support parts W_S with S != [m]: H_k(m) is generated from below iff its
+    block W_m(k) is zero, as it is above ``support_bound``.  The first arity
+    has nothing below it, and its flag is False by convention.
+    """
+    ns = sorted(n_values)
+    bound = support_bound(model, k)
+    return {m: i > 0 and (m > bound or not homology(
+                model, m, k, mode, block=True).dimension)
+            for i, m in enumerate(ns)}

@@ -232,7 +232,7 @@ class GeneratorSet:
         for i, (sym, _) in enumerate(self.model.generators):
             terms = self.model.differential.get(sym)
             if terms:
-                vec, _ = _evaluate_expr(self, terms, summand=0)
+                vec = _evaluate_expr(self, terms, summand=0)
                 if vec:  # an expression such as [a,[a,a]] can vanish
                     base_tensors[i] = vec
         for j in range(self.arity):
@@ -415,14 +415,13 @@ def apply_values_tensor(genset: GeneratorSet, op_degree: int,
 
 
 def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
-                   summand: int) -> tuple[TensorVector, int]:
-    """Evaluate a differential expression into tensor coordinates."""
+                   summand: int) -> TensorVector:
+    """Evaluate a differential expression into tensor coordinates; the terms'
+    degrees are checked by ``validate_model`` before anything is expanded."""
     index = {s: i for i, (s, _) in enumerate(genset.model.generators)}
 
     def node(n) -> tuple[TensorVector, int]:
         if isinstance(n, str):
-            if n not in index:
-                raise KeyError(f"unknown generator symbol {n!r}")
             gid = genset.gen_id(index[n], summand)
             return {(gid,): 1}, genset.degrees[gid]
         lv, ld = node(n[0])
@@ -430,16 +429,10 @@ def _evaluate_expr(genset: GeneratorSet, terms: ExprTerms,
         return tensor_commutator(lv, rv, ld, rd), ld + rd
 
     total: TensorVector = {}
-    degree = None
     for coeff, n in terms:
-        vec, d = node(n)
-        if degree is None:
-            degree = d
-        elif d != degree and vec:
-            raise ValueError("inhomogeneous differential expression")
         add_scaled(total, coeff.numerator if coeff.denominator == 1
-                   else coeff, vec)
-    return total, (degree if degree is not None else 0)
+                   else coeff, node(n)[0])
+    return total
 
 
 # -- public operations -------------------------------------------------------
@@ -724,24 +717,31 @@ def validate_model(model: ModelSpec) -> list[str]:
     if problems:
         return problems
 
-    try:
-        genset = GeneratorSet(model, 1)
-    except (KeyError, ValueError) as exc:
-        return [f"differential expression error: {exc}"]
+    # each term's degree from its parse tree, before any term is expanded
+    degree = dict(model.generators)
 
-    index = {s: i for i, s in enumerate(model.symbols)}
+    def term_degree(node) -> int:
+        if isinstance(node, str):
+            if node not in degree:
+                raise KeyError(f"unknown generator symbol {node!r}")
+            return degree[node]
+        return term_degree(node[0]) + term_degree(node[1])
+
     for sym, terms in model.differential.items():
-        gid = index[sym]
-        vec = genset._diff_tensor.get(gid)
-        if not vec:
-            continue
-        target = model.degree_of(sym) - 1
-        for w in vec:
-            if genset.word_degree(w) != target:
-                problems.append(
-                    f"differential of {sym!r} is not homogeneous of "
-                    f"degree {target}")
-                break
+        try:
+            degrees = [term_degree(node) for _, node in terms]
+        except KeyError as exc:
+            return [f"differential expression error: {exc}"]
+        if any(d != degree[sym] - 1 for d in degrees):
+            problems.append(f"differential of {sym!r} is not homogeneous "
+                            f"of degree {degree[sym] - 1}")
+    if problems:
+        return problems
+
+    genset = GeneratorSet(model, 1)
+    index = {s: i for i, s in enumerate(model.symbols)}
+    for sym in model.differential:
+        vec = genset._diff_tensor.get(index[sym], {})
         if model.minimal and any(len(w) < 2 for w in vec):
             problems.append(
                 f"minimality: differential of {sym!r} has a linear part")

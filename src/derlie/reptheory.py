@@ -1,7 +1,7 @@
 """Symmetric-group representation theory: partitions, irreducible characters
 by border-strip recursion, decomposition of class functions, padded-partition
-bookkeeping, and the stability and generation reports.  The generation flags
-are read from the support blocks of ``dermodel``, with no FI map or action."""
+bookkeeping, and the report's stability entries, built from the padded rows
+of the cells.  Nothing here imports the derivation engine."""
 
 from __future__ import annotations
 
@@ -200,100 +200,27 @@ def pad(lam_bar: Partition, n: int) -> Partition:
     return (head,) + tuple(lam_bar)
 
 
-class StabilityReport:
-    """Per-arity decompositions in padded coordinates with a stabilization
-    verdict over the computed range.  The verdict is evidence about the
-    computed window, never a proof."""
-
-    def __init__(self, model_name: str, mode: str, k: int,
-                 n_values: tuple[int, ...], dimensions: dict[int, int],
-                 padded_rows: dict[int, dict[Partition, int]],
-                 stabilized_at: int | None,
-                 generation: dict[int, bool] | None = None):
-        self.model_name, self.mode, self.k = model_name, mode, k
-        self.n_values, self.dimensions = n_values, dimensions
-        self.padded_rows, self.stabilized_at = padded_rows, stabilized_at
-        self.generation = generation
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilized_at is not None
-
-    def verdict_text(self) -> str:
-        return stability_verdict(self.stabilized_at, self.n_values)
-
-
-def stability_verdict(onset: int | None, n_values) -> str:
-    """The report's wording for a stabilization onset over the ascending
-    arity range n_values."""
-    if onset is None:
-        return "not stabilized in range"
-    return (f"stabilized within range at n0={onset} "
-            f"(window {onset}..{n_values[-1]})")
-
-
 def stabilization_onset(n_values, rows) -> int | None:
     """Least n0 whose terminal window (at least two rows) has constant padded
-    multiplicities; None when the last two rows already differ."""
+    multiplicities, a zero multiplicity counting as absent; None when the
+    last two rows already differ."""
     ns = list(n_values)
-    if len(ns) < 2:
-        return None
-    last = rows[ns[-1]]
-
-    def same(a, b):
-        keys = set(a) | set(b)
-        return all(a.get(x, 0) == b.get(x, 0) for x in keys)
-
-    onset = None
-    for n in reversed(ns):
-        if same(rows[n], last):
-            onset = n
-        else:
-            break
-    if onset is None or onset == ns[-1]:
-        return None
-    return onset
+    nonzero = [{x: m for x, m in rows[n].items() if m} for n in ns]
+    i = len(ns) - 1
+    while i > 0 and nonzero[i - 1] == nonzero[-1]:
+        i -= 1
+    return ns[i] if i < len(ns) - 1 else None
 
 
-def stability_report(model, mode, k: int, n_range,
-                     with_generation: bool = True) -> StabilityReport:
-    """Decompose the homology of every arity in the range and tabulate the
-    multiplicities in padded coordinates."""
-    from . import fistab  # imported here to avoid an import cycle
-
-    ns = tuple(sorted(n_range))
+def stability_report(k: int, n_values, rows) -> dict:
+    """A report's stability entry for degree k: the onset of the padded rows
+    (one dict per arity in n_values, keyed by padded partition in one
+    canonical form) and the report's wording of it.  The verdict is evidence
+    about the computed window, never a proof."""
+    ns = sorted(n_values)
     if not ns:
         raise ValueError("empty arity range")
-    dimensions: dict[int, int] = {}
-    rows: dict[int, dict[Partition, int]] = {}
-    for n in ns:
-        chi = fistab.character(model, n, k, mode)
-        dec = decompose(chi)
-        dimensions[n] = dec.dim
-        rows[n] = dec.padded()
     onset = stabilization_onset(ns, rows)
-    generation = None
-    if with_generation:
-        generation = generation_check(model, mode, k, ns)
-    return StabilityReport(model.name, str(mode), k, ns, dimensions, rows,
-                           onset, generation)
-
-
-def generation_check(model, mode, k: int, n_range) -> dict[int, bool]:
-    """For each arity m in the range beyond the first: is H_k(m) spanned by
-    the symmetric-group orbit of the image of the maps from lower arities?
-
-    Any injection from a smaller arity factors as a permutation composed
-    with the standard inclusion from m-1, so that orbit is the span of the
-    support parts W_S with S != [m]: H_k(m) is generated from below iff its
-    block W_m(k) is zero, as it is above ``support_bound``.
-    """
-    from .dermodel import homology, support_bound
-
-    ns = tuple(sorted(n_range))
-    bound = support_bound(model, k)
-    out = {ns[0]: False} if ns else {}  # nothing below, by convention
-    for m in ns[1:]:
-        out[m] = m > bound or not homology(model, m, k, mode,
-                                           block=True).dimension
-    return out
+    verdict = "not stabilized in range" if onset is None else (
+        f"stabilized within range at n0={onset} (window {onset}..{ns[-1]})")
+    return {"k": k, "stabilized_at": onset, "verdict": verdict}

@@ -2,7 +2,7 @@
 and matrices, rank, sums and brackets of Lie elements, generator elements
 and their differentials, the matrix of an injection on derivation slices,
 the derivation-object route, the orbit-span route to the generation flags,
-and the tensor route to omega_n.
+the character route to the padded rows, and the tensor route to omega_n.
 
 Lie elements are dicts in Lyndon coordinates (``gradedlie.LieVector``).  The
 derivation-object route (``Derivation``, ``apply_derivation``,
@@ -17,7 +17,8 @@ are built from derlie's own layers."""
 from fractions import Fraction
 
 from derlie.dermodel import DerSlice, Mode, derivation_basis, homology
-from derlie.fistab import Injection, _pushforward, homology_map, sigma_action
+from derlie.fistab import (Injection, _pushforward, character, homology_map,
+                           sigma_action)
 from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
                               TensorVector, apply_differential,
                               apply_values_tensor, dual_basis,
@@ -25,6 +26,7 @@ from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
                               tensor_commutator)
 from derlie.ratlinalg import (SparseMatrix, _echelon, add_scaled,
                               extend_echelon)
+from derlie.reptheory import decompose
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
@@ -155,7 +157,7 @@ def induced_slice_map(inj: Injection, model, k: int,
 
 
 def generation_by_orbit(model, mode: Mode, k: int, n_range) -> dict[int, bool]:
-    """``reptheory.generation_check`` on full cells: for each arity m beyond
+    """``dermodel.generation_flags`` on full cells: for each arity m beyond
     the first, whether the orbit of the image of H_k(m-1) -> H_k(m) under
     two generators of Sigma_m spans H_k(m)."""
     ns = tuple(sorted(n_range))
@@ -187,6 +189,18 @@ def _symmetric_group_generators(m: int) -> list[tuple[int, ...]]:
     swap = tuple([1, 0] + list(range(2, m)))
     cycle = tuple(list(range(1, m)) + [0])
     return [swap, cycle] if m > 2 else [swap]
+
+
+def stability_by_characters(model, mode: Mode, k: int, n_values
+                            ) -> tuple[dict, dict]:
+    """The padded rows and the dimensions of H_k(n) for n in n_values, each
+    recomputed from ``fistab.character`` and ``reptheory.decompose`` at
+    arity n: the oracle for the rows a report's stability entry reads."""
+    rows, dims = {}, {}
+    for n in n_values:
+        dec = decompose(character(model, n, k, mode))
+        rows[n], dims[n] = dec.padded(), dec.dim
+    return rows, dims
 
 
 def omega_by_tensor(model, n: int) -> LieVector:

@@ -24,8 +24,10 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from helpers import (bracket, compose, compose_injections, generator_element,
-                     induced_slice_map)
+from helpers import (bracket, compose, compose_injections, generation_by_orbit,
+                     generator_element, induced_slice_map,
+                     stability_by_characters)
+from derlie.cli import JobSpec, partition_from_str, run
 from derlie.cli import main as cli_main
 from derlie.dermodel import Mode, derivation_basis, homology
 from derlie.fistab import (
@@ -256,23 +258,37 @@ def _oracle_sphere_character(n: int, k: int) -> ClassFunction:
     return ClassFunction(n, values)
 
 
+def _cli_job(model_name, mode, ks, n_values, **flags):
+    """The report of a job run as the CLI runs it."""
+    report, code = run(JobSpec(model_path=model_name, mode=mode,
+                               k_values=ks, n_values=tuple(n_values),
+                               **flags))
+    assert code == 0
+    return report
+
+
 def test_criterion_7_stability_evidence():
     start = time.monotonic()
     model = load_model("sphere2")
-    reports = {}
+    report = _cli_job("sphere2", Mode.POINTED, (1, 2), range(1, 6),
+                      decompose=True)
+    entries = {e["k"]: e for e in report["stability"]}
     for k in (1, 2):
-        report = stability_report(model, Mode.POINTED, k, range(1, 6),
-                                  with_generation=False)
-        reports[k] = report
-        # oracle first: rows recomputed from independent characters
-        for n in range(1, 6):
-            oracle_rows = decompose(_oracle_sphere_character(n, k)).padded()
-            assert report.padded_rows[n] == oracle_rows, (k, n)
+        # oracle first: rows recomputed from independent characters, then
+        # the report's own rows and entry against them
+        oracle_rows = {n: decompose(_oracle_sphere_character(n, k)).padded()
+                       for n in range(1, 6)}
+        assert stability_by_characters(model, Mode.POINTED, k,
+                                       range(1, 6))[0] == oracle_rows, k
+        for cell in (c for c in report["cells"] if c["k"] == k):
+            assert {partition_from_str(s): m for s, m in
+                    cell["padded"].items()} == oracle_rows[cell["n"]], k
+        assert entries[k] == stability_report(k, range(1, 6), oracle_rows)
     elapsed = time.monotonic() - start
-    stabilized = all(reports[k].stabilized for k in (1, 2))
+    stabilized = all(entries[k]["stabilized_at"] is not None for k in (1, 2))
     _verdict(7, "stability evidence", stabilized and elapsed < 600.0,
-             f"k=1 {reports[1].verdict_text()}; "
-             f"k=2 {reports[2].verdict_text()}; {elapsed:.2f}s")
+             f"k=1 {entries[1]['verdict']}; "
+             f"k=2 {entries[2]['verdict']}; {elapsed:.2f}s")
     assert stabilized and elapsed < 600.0, (
         "criterion as specified requires the verdict 'stabilized within "
         "range' for n <= 5, but the oracle-confirmed padded rows at n = 4 "
@@ -283,11 +299,13 @@ def test_criterion_7_stability_evidence():
 
 def test_criterion_8_generation_evidence():
     start = time.monotonic()
-    model = load_model("s2xs2")
-    report = stability_report(model, Mode.BOUNDARY, 1, range(1, 5),
-                              with_generation=True)
-    flags = report.generation
+    report = _cli_job("s2xs2", Mode.BOUNDARY, (1,), range(1, 5),
+                      check_generation=True)
+    [check] = [c for c in report["checks"] if c["name"] == "generation"]
+    flags = {int(n): v for n, v in check["flags"]["k=1"].items()}
     assert flags == {1: False, 2: False, 3: False, 4: True}
+    assert flags == generation_by_orbit(load_model("s2xs2"), Mode.BOUNDARY,
+                                        1, range(1, 5))
     # observed onset: true for every arity above m0 = 3 within the range
     m0 = 3
     above = [m for m in flags if m > m0]

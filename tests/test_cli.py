@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import forget_memos
+from helpers import stability_by_characters
 from derlie.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_OK,
@@ -118,6 +120,66 @@ def test_parse_expression_errors():
         parse_bracket_expression("a ]", 7)
     with pytest.raises(ParseError):
         parse_bracket_expression("1/0 a", 7)
+
+
+def _model_file(tmp_path, differential, generators="a: 2\n  e: 3"):
+    path = tmp_path / "t.model"
+    path.write_text(f"name: t\ngenerators:\n  {generators}\n"
+                    f"differential:\n  e: {differential}\n")
+    return path
+
+
+def test_nesting_beyond_the_cap_is_a_parse_error(tmp_path, capsys):
+    # the parser recursed three times per level and overflowed near 330
+    # levels; a deeper expression is refused at the '[' that goes too deep
+    from derlie.cli import MAX_BRACKET_DEPTH
+    col = len("  e: ") + 1 + len("[a, ") * MAX_BRACKET_DEPTH
+    for depth in (MAX_BRACKET_DEPTH, MAX_BRACKET_DEPTH + 1, 400):
+        path = _model_file(tmp_path, "[a, " * depth + "a" + "]" * depth)
+        code = main(["compute", "--model", str(path), "--k", "1", "--n", "1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION and err == ""
+        if depth == MAX_BRACKET_DEPTH:  # parsed, then refused by degree
+            assert "error: differential of 'e' is not homogeneous" in out
+            continue
+        assert f"error: line 6, col {col}: brackets nest more than " \
+               f"{MAX_BRACKET_DEPTH} deep\n" in out
+        assert path.read_text().splitlines()[5][col - 1] == "["
+
+
+def _left_normed(depth):
+    expr = "a"
+    for i in range(depth):
+        expr = f"[{expr}, {'abcd'[(i + 1) % 4]}]"
+    return expr
+
+
+@pytest.mark.parametrize("differential", [
+    _left_normed(18), "[[a, b], c]", "[a, b] + [[a, b], c]", "0 [[a, b], c]",
+    "[f, f]",  # vanishes, since |f| is even
+], ids=["nested-18", "degree-3", "mixed", "zero-coefficient", "vanishing"])
+def test_term_degrees_are_checked_before_expansion(tmp_path, capsys,
+                                                   monkeypatch, differential):
+    # nested 18 deep, the line took about 1 s and 140 MB to expand before
+    # it was refused; now no term of a wrong degree is expanded
+    from derlie import gradedlie
+    calls = []
+    real = gradedlie.tensor_commutator
+    monkeypatch.setattr(gradedlie, "tensor_commutator",
+                        lambda *a: calls.append(a) or real(*a))
+    generators = "a: 1\n  b: 1\n  c: 1\n  d: 1\n  f: 2\n  e: 3"
+    for expr, expected in ((differential, EXIT_VALIDATION),
+                           ("[a, b]", EXIT_OK)):
+        path = _model_file(tmp_path, expr, generators)
+        code = main(["compute", "--model", str(path), "--k", "1", "--n", "1"])
+        out, _ = capsys.readouterr()
+        assert code == expected, out
+        if expected == EXIT_VALIDATION:
+            assert out.endswith("error: differential of 'e' is not "
+                                "homogeneous of degree 2\n"
+                                "status: validation-error\n")
+            assert calls == []
+    assert calls  # the spy sees the expansion of a term of the right degree
 
 
 def test_parse_model_rejects_unknown_field(tmp_path):
@@ -658,7 +720,7 @@ def test_dimension_only_job_loads_no_character_layer(tmp_path, argv):
     (["--decompose", "--format", "json"], CHARACTER_LAYER),
     (["--check-consistency"], CHARACTER_LAYER),
     # the generation flags read the blocks, with no action or FI map
-    (["--check-generation"], {"derlie.reptheory"}),
+    (["--check-generation"], set()),
     # the pool's workers load fistab; the job's own process may not
     (["--decompose", "--workers", "2"], None),
 ])
@@ -851,6 +913,144 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert sorted(cache.iterdir()) == entries
 
 
+def test_deeply_nested_cache_entry_is_recomputed(tmp_path):
+    # json.load raises RecursionError on such an entry: a miss, rewritten
+    cache = tmp_path / "cache"
+    cold = tmp_path / "cold.json"
+    warm = tmp_path / "warm.json"
+    args = ["compute", "--model", "sphere2", "--k", "1", "--n", "1..2",
+            "--format", "json", "--cache-dir", str(cache)]
+    assert main(args + ["--output", str(cold)]) == EXIT_OK
+    entries = {p: p.read_bytes() for p in cache.iterdir()}
+    for p in entries:
+        p.write_text("[" * 100000 + "]" * 100000)
+    assert main(args + ["--output", str(warm)]) == EXIT_OK
+    assert warm.read_bytes() == cold.read_bytes()
+    assert {p: p.read_bytes() for p in cache.iterdir()} == entries
+
+
+# JSON leaves, with huge ints, a numeral Fraction would expand, and strings
+# shaped like partitions
+JSON_LEAVES = (st.none() | st.booleans() | st.floats() | st.integers()
+               | st.text(max_size=5)
+               | st.sampled_from([0, 10**40, -10**40, "1e999999", "1/0",
+                                  "-1", "()", "(0)", "(x)", "(1,2)", "(01)"]))
+# dict keys hold no digit, so no random table holds a partition of n >= 1
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(
+    inner, max_size=3) | st.dictionaries(st.text("(),x -", max_size=4),
+                                         inner, max_size=3), max_leaves=6)
+# no partition of n <= 3, the property's arities, and some with the tail of
+# one, so that a wrong key can still yield the right padded name
+BAD_KEYS = st.sampled_from(["()", "(0)", "(x)", "(1,2)", "(01)", "(1,)",
+                            "( 1)", "(9)", "(9,1)", "(9,1,1)", "(0,1)",
+                            "1e999999", ""])
+# the property gives the entries distinct damages from a random order of
+# this flat list, so that every kind is drawn about as often
+DAMAGES = ["drop", "add", "field", "retype"] + [
+    f"{table}:{action}" for table in ("character", "decomposition", "padded")
+    for action in ("add", "empty", "drop", "rename", "retype", "value")]
+
+
+def _retyped(value):
+    """value as JSON of another type: a bool, float, string or list."""
+    return st.sampled_from([float(value), str(value), [value]]
+                           + ([bool(value)] if value in (0, 1) else []))
+
+
+def _no_numeral(v):
+    return not (isinstance(v, str) and v and set(v) <= set("-/0123456789"))
+
+
+@st.composite
+def malformed_entry(draw, cell, damage):
+    """The cell after one damage that takes it out of the form
+    _compute_cell writes: a field dropped, added, replaced by a random value
+    (dim by no count) or by its value as another JSON type; or in one table
+    an item added under a key that is no partition of n, the table emptied,
+    or an item dropped, renamed to such a key, retyped or given a random
+    value (a character value no numeral)."""
+    entry = json.loads(json.dumps(cell))
+    field = draw(st.sampled_from(["n", "k", "dim"] if damage == "retype"
+                                 else sorted(entry)))
+    name, _, action = damage.partition(":")
+    table = entry.get(name)
+    if action and (action in ("add", "empty") or not table):
+        bad = draw(BAD_KEYS.filter(lambda key: key not in table))
+        entry[name] = {} if action == "empty" and table else \
+            {**table, bad: draw(JSON_VALUES)}
+    elif action:
+        key = draw(st.sampled_from(sorted(table)))
+        value = table.pop(key)
+        if action == "rename":
+            table[draw(BAD_KEYS.filter(lambda k: k not in table))] = value
+        elif action == "retype":
+            table[key] = draw(_retyped(value if name != "character"
+                                       else int(Fraction(value))))
+        elif action == "value":
+            table[key] = draw(JSON_VALUES.filter(
+                lambda v: name != "character" or _no_numeral(v)))
+    elif damage == "drop":
+        del entry[field]
+    elif damage == "add":
+        entry[draw(st.text(max_size=5).filter(
+            lambda f: f not in entry))] = draw(JSON_VALUES)
+    elif damage == "field":
+        entry[field] = draw(JSON_VALUES.filter(
+            lambda v: field != "dim" or type(v) is not int or v < 0))
+    else:
+        entry[field] = draw(_retyped(entry[field]))
+    return entry
+
+
+@functools.cache
+def _warm_replay_cells():
+    """The cold report of the property below, and its cells by key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "cold.json")
+        assert main(CACHE_PROPERTY_ARGV + ["--cache-dir", tmp, "--output",
+                                           report]) == EXIT_OK
+        with open(report, "rb") as fh:
+            cold = fh.read()
+        cells = {}
+        for name in sorted(os.listdir(tmp)):
+            if name != "cold.json":
+                with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                    entry = json.load(fh)
+                cells[entry.pop("key")] = entry
+                del entry["sha256"]
+    return cold, cells
+
+
+CACHE_PROPERTY_ARGV = ["compute", "--model", "sphere2", "--k", "1..2",
+                       "--n", "1..3", "--decompose", "--format", "json"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_resealed_malformed_cache_entries_are_recomputed(data):
+    # every entry of a warm run is replaced by a malformed one under its
+    # valid key and checksum: each is a miss, recomputed and rewritten
+    from derlie.cli import _cache_write
+    cold, cells = _warm_replay_cells()
+    assert len(cells) == 6
+    damages = data.draw(st.permutations(DAMAGES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache")
+        os.mkdir(cache)
+        for (key, cell), damage in zip(cells.items(), damages):
+            _cache_write(cache, key, data.draw(malformed_entry(cell, damage)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(CACHE_PROPERTY_ARGV + ["--cache-dir", cache])
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        assert out.getvalue().encode() == cold
+        for key, cell in cells.items():
+            with open(os.path.join(cache, key + ".json"),
+                      encoding="utf-8") as fh:
+                entry = json.load(fh)
+            assert {f: entry[f] for f in cell} == cell
+
+
 def test_unwritable_cache_entry_is_skipped(tmp_path):
     cache = tmp_path / "cache"
     plain = tmp_path / "plain.json"
@@ -874,10 +1074,10 @@ def test_stability_entry_built_from_cells():
                            decompose=True))
     assert code == EXIT_OK
     assert [c["padded"] for c in report["cells"]] == [{}, {}, {}]
-    expected = stability_report(load_model("sphere3"), Mode.POINTED, 1,
-                                (1, 2, 3), with_generation=False)
-    assert report["stability"] == [{"k": 1, "stabilized_at": 1,
-                                    "verdict": expected.verdict_text()}]
+    rows, _ = stability_by_characters(load_model("sphere3"), Mode.POINTED,
+                                      1, (1, 2, 3))
+    assert report["stability"] == [stability_report(1, (1, 2, 3), rows)]
+    assert report["stability"][0]["stabilized_at"] == 1
 
 
 def test_worker_count_does_not_change_output(tmp_path):

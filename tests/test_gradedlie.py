@@ -577,7 +577,7 @@ def test_validate_degree_zero_generator():
 def test_validate_d_squared():
     # d(c) = [a, b] with d(b) = 0 is fine; force d^2 != 0 via d(e) = c
     model = ModelSpec(
-        "bad-d2", [("a", 2), ("b", 2), ("c", 5), ("e", 6)],
+        "bad-d2", [("a", 2), ("b", 2), ("c", 5), ("e", 5)],
         differential={"c": ("a", "b"), "e": [(F(1), ("a", "a"))]},
         minimal=True)
     # [a,a] = 0 for even a, so d(e) = 0: fine.  Now a genuinely broken one:
@@ -587,6 +587,13 @@ def test_validate_d_squared():
     probs = validate_model(model2)
     assert any("d o d" in p for p in probs)
     assert validate_model(model) == []
+    # a term's degree is checked before it is expanded, so [a,a] of degree
+    # 4 is refused as d(e) for |e| = 6 although it vanishes
+    model3 = ModelSpec(
+        "bad-degree", [("a", 2), ("b", 2), ("c", 5), ("e", 6)],
+        differential={"c": ("a", "b"), "e": [(F(1), ("a", "a"))]})
+    assert validate_model(model3) == [
+        "differential of 'e' is not homogeneous of degree 5"]
 
 
 def test_validate_minimality_flag():

@@ -1,7 +1,8 @@
-"""Stability and generation reports, pinned against independently computed
-decomposition rows (fixed-point counting for the degree-1 slice, dense
-tensor traces for degree 2, the closed form of ``lie_character`` beyond,
-all fed through the character inner product)."""
+"""Stability and generation entries of the report, pinned against
+independently computed decomposition rows (fixed-point counting for the
+degree-1 slice, dense tensor traces for degree 2, the closed form of
+``lie_character`` beyond, all fed through the character inner product) and
+checked against the character route of ``helpers.stability_by_characters``."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -11,18 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 import lie_character
-from helpers import compose, generation_by_orbit, rank
+from helpers import (compose, generation_by_orbit, rank,
+                     stability_by_characters)
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
-from derlie.dermodel import Mode, derivation_basis, homology
+from derlie.dermodel import Mode, derivation_basis, generation_flags, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
 from derlie.ratlinalg import SparseMatrix
-from derlie.reptheory import (
-    ClassFunction,
-    decompose,
-    generation_check,
-    stability_report,
-)
+from derlie.reptheory import ClassFunction, decompose, stability_report
 
 F = Fraction
 
@@ -52,48 +49,75 @@ BOUNDARY_K1_ROWS = {
 }
 
 
+def _job(name, mode, ks, n_values, **flags):
+    """The report of a decompose job on a bundled model."""
+    report, code = run(JobSpec(model_path=name, mode=mode, k_values=ks,
+                               n_values=tuple(n_values), decompose=True,
+                               **flags))
+    assert code == EXIT_OK
+    return report
+
+
+def _rows(report, k):
+    """The padded rows of a report's degree-k cells, by arity."""
+    return {c["n"]: {partition_from_str(s): m for s, m in c["padded"].items()}
+            for c in report["cells"] if c["k"] == k}
+
+
+def _checked_entry(report, model, mode, k, n_values):
+    """The report's stability entry for k, after its cells' padded rows and
+    dimensions are checked against the character route and the entry
+    against the one built from that route's rows."""
+    rows, dims = stability_by_characters(model, mode, k, n_values)
+    assert _rows(report, k) == rows, k
+    assert {c["n"]: c["dim"] for c in report["cells"] if c["k"] == k} == \
+        dims, k
+    [entry] = [e for e in report["stability"] if e["k"] == k]
+    assert entry == stability_report(k, n_values, rows)
+    return entry
+
+
 def test_sphere_k1_rows_and_verdict(sphere2):
-    report = stability_report(sphere2, Mode.POINTED, 1, range(1, 6))
-    for n in range(1, 6):
-        assert report.padded_rows[n] == SPHERE_K1_ROWS[n], n
-    assert report.dimensions == {n: n * n * (n + 1) // 2
-                                 for n in range(1, 6)}
+    report = _job("sphere2", Mode.POINTED, (1,), range(1, 6))
+    entry = _checked_entry(report, sphere2, Mode.POINTED, 1, range(1, 6))
+    assert _rows(report, 1) == {n: SPHERE_K1_ROWS[n] for n in range(1, 6)}
+    assert [c["dim"] for c in report["cells"]] == \
+        [n * n * (n + 1) // 2 for n in range(1, 6)]
     # rows 4 and 5 genuinely differ, so no two-row terminal window exists
-    assert report.stabilized_at is None
-    assert report.verdict_text() == "not stabilized in range"
+    assert entry["stabilized_at"] is None
+    assert entry["verdict"] == "not stabilized in range"
 
 
 def test_sphere_k1_weight_bound(sphere2):
     # a degree-1 derivation touches at most 3 summand slots
-    report = stability_report(sphere2, Mode.POINTED, 1, range(1, 6),
-                              with_generation=False)
-    for row in report.padded_rows.values():
+    report = _job("sphere2", Mode.POINTED, (1,), range(1, 6))
+    for row in _rows(report, 1).values():
         for name, mult in row.items():
             if mult:
                 assert sum(name) <= 3
 
 
 def test_sphere_k1_stabilizes_at_six(sphere2):
-    report = stability_report(sphere2, Mode.POINTED, 1, range(1, 8),
-                              with_generation=False)
-    assert report.padded_rows[6] == SPHERE_K1_ROWS[6]
-    assert report.padded_rows[7] == SPHERE_K1_ROWS[7]
-    assert report.stabilized_at == 6
-    assert report.stabilized
+    report = _job("sphere2", Mode.POINTED, (1,), range(1, 8))
+    entry = _checked_entry(report, sphere2, Mode.POINTED, 1, range(1, 8))
+    assert _rows(report, 1)[6] == SPHERE_K1_ROWS[6]
+    assert _rows(report, 1)[7] == SPHERE_K1_ROWS[7]
+    assert entry == {"k": 1, "stabilized_at": 6,
+                     "verdict": "stabilized within range at n0=6 "
+                                "(window 6..7)"}
 
 
 def test_sphere_k2_rows(sphere2):
-    report = stability_report(sphere2, Mode.POINTED, 2, range(1, 6),
-                              with_generation=False)
-    for n in range(1, 6):
-        assert report.padded_rows[n] == SPHERE_K2_ROWS[n], n
-    assert report.stabilized_at is None
+    report = _job("sphere2", Mode.POINTED, (1, 2), range(1, 6))
+    entry = _checked_entry(report, sphere2, Mode.POINTED, 2, range(1, 6))
+    assert _rows(report, 2) == {n: SPHERE_K2_ROWS[n] for n in range(1, 6)}
+    assert entry["stabilized_at"] is None
 
 
 def test_sphere_generation_flags(sphere2):
-    assert generation_check(sphere2, Mode.POINTED, 1, range(1, 6)) == {
+    assert generation_flags(sphere2, Mode.POINTED, 1, range(1, 6)) == {
         1: False, 2: False, 3: False, 4: True, 5: True}
-    assert generation_check(sphere2, Mode.POINTED, 2, range(1, 6)) == {
+    assert generation_flags(sphere2, Mode.POINTED, 2, range(1, 6)) == {
         1: False, 2: False, 3: False, 4: False, 5: True}
 
 
@@ -102,7 +126,7 @@ def test_sphere_generation_flags(sphere2):
     ("s2xs2", Mode.BOUNDARY, 1)])
 def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
     # brute force: span sigma . image over every sigma in Sigma_m, where
-    # generation_check grows the orbit from two generators of Sigma_m
+    # generation_by_orbit grows the orbit from two generators of Sigma_m
     model = request.getfixturevalue(name)
     expected = {1: False}
     for m in range(2, 5):
@@ -112,7 +136,8 @@ def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
                  for col in compose(sigma_action(sigma, model, k, mode),
                                     image).columns()]
         expected[m] = rank(SparseMatrix.from_rows(orbit, dim)) == dim
-    assert generation_check(model, mode, k, range(1, 5)) == expected
+    assert generation_flags(model, mode, k, range(1, 5)) == expected
+    assert generation_by_orbit(model, mode, k, range(1, 5)) == expected
 
 
 @pytest.mark.parametrize("name,mode,ks,n_max", [
@@ -129,30 +154,41 @@ def test_generation_flags_match_the_empty_blocks(request, name, mode, ks,
     model = request.getfixturevalue(name)
     for k in ks:
         n_range = range(1, n_max + 1)
-        assert generation_check(model, mode, k, n_range) == \
+        assert generation_flags(model, mode, k, n_range) == \
             generation_by_orbit(model, mode, k, n_range), k
 
 
+def _generation(report):
+    """The report's generation flags, with int arities."""
+    [check] = [c for c in report["checks"] if c["name"] == "generation"]
+    return {k: {int(n): v for n, v in table.items()}
+            for k, table in check["flags"].items()}
+
+
 def test_boundary_report(s2xs2):
-    report = stability_report(s2xs2, Mode.BOUNDARY, 1, range(1, 5))
-    for n in range(1, 5):
-        assert report.padded_rows[n] == BOUNDARY_K1_ROWS[n], n
-    assert report.dimensions == {1: 4, 2: 20, 3: 56, 4: 120}
-    assert report.stabilized_at is None
-    assert report.generation == {1: False, 2: False, 3: False, 4: True}
+    report = _job("s2xs2", Mode.BOUNDARY, (1,), range(1, 5),
+                  check_generation=True)
+    entry = _checked_entry(report, s2xs2, Mode.BOUNDARY, 1, range(1, 5))
+    assert _rows(report, 1) == BOUNDARY_K1_ROWS
+    assert [c["dim"] for c in report["cells"]] == [4, 20, 56, 120]
+    assert entry["stabilized_at"] is None
+    assert _generation(report) == {
+        "k=1": {1: False, 2: False, 3: False, 4: True}}
 
 
 def test_zero_homology_stabilizes_at_minimum(sphere3):
     # every slice in odd homological degree vanishes for one even generator
-    report = stability_report(sphere3, Mode.POINTED, 1, range(1, 4))
-    assert all(dim == 0 for dim in report.dimensions.values())
-    assert report.stabilized_at == 1
-    assert report.generation == {1: False, 2: True, 3: True}
+    report = _job("sphere3", Mode.POINTED, (1,), range(1, 4),
+                  check_generation=True)
+    entry = _checked_entry(report, sphere3, Mode.POINTED, 1, range(1, 4))
+    assert all(c["dim"] == 0 for c in report["cells"])
+    assert entry["stabilized_at"] == 1
+    assert _generation(report) == {"k=1": {1: False, 2: True, 3: True}}
 
 
-def test_report_requires_nonempty_range(sphere2):
+def test_report_requires_nonempty_range():
     with pytest.raises(ValueError):
-        stability_report(sphere2, Mode.POINTED, 1, ())
+        stability_report(1, (), {})
 
 
 @pytest.mark.parametrize("degrees,n,up_to", [
