@@ -147,14 +147,14 @@ def _tokenize(text: str, line: int, col: int) -> list[tuple[str, object, int]]:
     return tokens
 
 
-# The parser recurses three times per bracket level, so a deeper expression
+# The parser recurses four times per bracket level, so a deeper expression
 # is refused before Python's recursion limit is reached.
 MAX_BRACKET_DEPTH = 100
 
 
 def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
-    """Parse a sum of rational multiples of nested brackets into
-    ``[(coefficient, node), ...]`` terms; text starts at column col."""
+    """Parse a sum of rational multiples of nested brackets, which starts at
+    column col, into ``[(coefficient, gradedlie.Expr), ...]`` terms."""
     tokens = _tokenize(text, line, col)
     pos = depth = 0
 
@@ -181,46 +181,47 @@ def parse_bracket_expression(text: str, line: int = 0, col: int = 1) -> list:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_atom() -> list:
+    def parse_slot():
+        terms = parse_sum()
+        return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else terms
+
+    def parse_atom():
         nonlocal depth
         tok = peek()
         if tok[0] == "sym":
             take()
-            return [(Fraction(1), tok[1])]
+            return tok[1]
         if tok[0] == "[":
             if depth == MAX_BRACKET_DEPTH:
                 raise ParseError(f"brackets nest more than "
                                  f"{MAX_BRACKET_DEPTH} deep", line, tok[2])
             depth += 1
             take("[")
-            left = parse_sum()
+            left = parse_slot()
             take(",")
-            right = parse_sum()
+            right = parse_slot()
             take("]")
             depth -= 1
-            return [(cl * cr, (nl, nr)) for cl, nl in left
-                    for cr, nr in right]
+            return left, right
         raise ParseError(f"expected a generator or '[', found {tok[1]!r}",
                          line, tok[2])
 
-    def parse_term(sign: Fraction) -> list:
+    def parse_term(sign: Fraction) -> tuple:
         coeff = Fraction(1)
         if peek()[0] == "int":
             coeff = parse_rational()
             if peek()[0] == "*":
                 take("*")
-        atom = parse_atom()
-        return [(sign * coeff * c, n) for c, n in atom]
+        return sign * coeff, parse_atom()
 
     def parse_sum() -> list:
-        terms = []
         sign = Fraction(1)
         if peek()[0] in ("+", "-"):
             sign = Fraction(-1) if take()[0] == "-" else Fraction(1)
-        terms.extend(parse_term(sign))
+        terms = [parse_term(sign)]
         while peek()[0] in ("+", "-"):
             sign = Fraction(-1) if take()[0] == "-" else Fraction(1)
-            terms.extend(parse_term(sign))
+            terms.append(parse_term(sign))
         return terms
 
     result = parse_sum()

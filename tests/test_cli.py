@@ -36,7 +36,7 @@ from derlie.cli import (
     run,
 )
 from derlie.dermodel import Mode
-from derlie.gradedlie import validate_model
+from derlie.gradedlie import GeneratorSet, ModelSpec, validate_model
 from derlie.reptheory import stability_report
 
 F = Fraction
@@ -108,9 +108,29 @@ def test_parse_expression_terms():
     assert terms == [(F(-2), ("a", "b")), (F(3), "c")]
 
 
-def test_parse_expression_bilinear_sums():
-    terms = parse_bracket_expression("[a + b, c]")
-    assert terms == [(F(1), ("a", "c")), (F(1), ("b", "c"))]
+def test_bracket_of_a_sum_evaluates_bilinearly():
+    # the parser keeps a sum inside a bracket as a sum; evaluation
+    # distributes it
+    assert parse_bracket_expression("[a + b, c]") == \
+        [(F(1), ([(F(1), "a"), (F(1), "b")], "c"))]
+    generators = [("a", 1), ("b", 1), ("c", 1), ("e", 2), ("h", 3)]
+    tensors = []
+    for e, h in (("[a + b, c]", "[2 a - 1/2 b, [b, c]]"),
+                 ("[a, c] + [b, c]", "2 [a, [b, c]] - 1/2 [b, [b, c]]")):
+        model = ModelSpec("t", generators, {
+            "e": parse_bracket_expression(e),
+            "h": parse_bracket_expression(h)}, minimal=False)
+        tensors.append(GeneratorSet(model, 1)._diff_tensor)
+    assert tensors[0] == tensors[1] and len(tensors[0]) == 2
+
+
+@pytest.mark.parametrize("name,fixture", [
+    ("s3xs3-product", "product_model"), ("cp3", "cp3"), ("s2xs2", "s2xs2"),
+    ("sphere2", "sphere2")])
+def test_fixture_models_equal_the_bundled_files(request, name, fixture):
+    # a differential given as one bracket or as a list of terms equals the
+    # parsed file's
+    assert request.getfixturevalue(fixture) == load_model(name)
 
 
 def test_parse_expression_errors():
@@ -154,14 +174,24 @@ def _left_normed(depth):
     return expr
 
 
+def _nested_sum(depth):
+    return "[a + b, " * depth + "c" + "]" * depth
+
+
 @pytest.mark.parametrize("differential", [
-    _left_normed(18), "[[a, b], c]", "[a, b] + [[a, b], c]", "0 [[a, b], c]",
+    _left_normed(18), _nested_sum(22), "[[a, b], c]", "[a, b] + [[a, b], c]",
+    "[a, b] + [[a, b] + c, d]", "0 [[a, b], c]",
     "[f, f]",  # vanishes, since |f| is even
-], ids=["nested-18", "degree-3", "mixed", "zero-coefficient", "vanishing"])
+], ids=["nested-18", "nested-sum-22", "degree-3", "mixed", "mixed-inside",
+        "zero-coefficient", "vanishing"])
 def test_term_degrees_are_checked_before_expansion(tmp_path, capsys,
-                                                   monkeypatch, differential):
+                                                   monkeypatch, cold_caches,
+                                                   differential):
     # nested 18 deep, the line took about 1 s and 140 MB to expand before
-    # it was refused; now no term of a wrong degree is expanded
+    # it was refused, and a sum nested 16 deep was multiplied out into 2^16
+    # terms by the parser; now nothing of a wrong degree is expanded.
+    # cold_caches: the valid model must not be served from the memo of an
+    # earlier case
     from derlie import gradedlie
     calls = []
     real = gradedlie.tensor_commutator
@@ -180,6 +210,61 @@ def test_term_degrees_are_checked_before_expansion(tmp_path, capsys,
                                 "status: validation-error\n")
             assert calls == []
     assert calls  # the spy sees the expansion of a term of the right degree
+
+
+def _over_limit_models():
+    """Generators and right-degree differentials whose expansion, or the
+    d o d pass over it, has 2^depth tensor words, one doubling above
+    gradedlie.MAX_EXPANSION_WORDS."""
+    from derlie.gradedlie import MAX_EXPANSION_WORDS
+    depth = MAX_EXPANSION_WORDS.bit_length()
+    letters = "  a: 1\n  b: 1\n  c: 1\n  d: 1\n"
+    yield depth, letters + f"  e: {depth + 2}", f"e: {_left_normed(depth)}"
+    # d(x) has 2^8 words and d(e) 2^(depth - 8); d o d on e has 2^depth
+    e = "x"
+    for _ in range(depth - 8):
+        e = f"[{e}, a]"
+    yield (depth, letters + f"  x: 10\n  e: {depth + 3}",
+           f"x: {_left_normed(8)}\n  e: {e}")
+
+
+@pytest.mark.parametrize("depth,generators,differential",
+                         list(_over_limit_models()), ids=["words", "d-o-d"])
+def test_expansion_is_counted_before_it_is_built(tmp_path, capsys,
+                                                 monkeypatch, cold_caches,
+                                                 depth, generators,
+                                                 differential):
+    # a left-normed bracket of 18 letters took 0.45 s / 47 MB to expand
+    # before --max-dim refused it, about 4x more per two letters
+    from derlie import gradedlie
+    calls = []
+    real = gradedlie.tensor_commutator
+    monkeypatch.setattr(gradedlie, "tensor_commutator",
+                        lambda *a: calls.append(a) or real(*a))
+    path = tmp_path / "t.model"
+    path.write_text(f"name: t\ngenerators:\n{generators}\n"
+                    f"differential:\n  {differential}\n")
+    assert main(["compute", "--model", str(path), "--k", "1", "--n", "1",
+                 "--max-dim", "10"]) == EXIT_VALIDATION
+    out, _ = capsys.readouterr()
+    assert f"error: differential of 'e' or d o d on it expands to " \
+           f"{2 ** depth} tensor words, more than " \
+           f"{gradedlie.MAX_EXPANSION_WORDS}\n" in out
+    assert calls == []
+
+
+def test_each_differential_is_evaluated_once_at_arity_one(monkeypatch,
+                                                         cold_caches):
+    # every other arity copies the arity-1 values onto its summands
+    from derlie import gradedlie
+    arities = []
+    real = gradedlie._evaluate_expr
+    monkeypatch.setattr(gradedlie, "_evaluate_expr",
+                        lambda g, x: arities.append(g.arity) or real(g, x))
+    assert main(["compute", "--model", "s3xs3-product", "--k", "1..2",
+                 "--n", "1..4", "--decompose", "--check-generation",
+                 "--format", "json"]) == EXIT_OK
+    assert arities == [1, 1, 1]  # one call per generator
 
 
 def test_parse_model_rejects_unknown_field(tmp_path):
@@ -328,7 +413,7 @@ def test_parse_model_differential_roundtrip():
     text = ("name: prod\ngenerators:\n  a: 2\n  b: 2\n  c: 5\n"
             "differential:\n  c: [a, b]\n")
     model = parse_model_text(text)
-    from derlie.gradedlie import validate_model
+    from derlie.gradedlie import GeneratorSet, ModelSpec, validate_model
     assert validate_model(model) == []
 
 
@@ -815,6 +900,74 @@ def test_cli_models_listing(capsys):
     assert main(["models"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "sphere2" in out
+
+
+# Edge values for every option that takes a number or a range.
+EDGE_VALUES = ("0", "-1", "100", "101", str(10**6 + 1), "3..1", "1..", "",
+               "1.." + str(10**6 + 1))
+# k or n = 100 is refused by the guard before any cell runs: on these models
+# every cell at k = 100, or at n = 100 with k <= 3, prices above 101
+ARGV_MODELS = ("s2xs2", "cp3", "s3xs3-product")
+
+
+@st.composite
+def drawn_argv(draw, tmp):
+    """A compute command line over the real option set: each option is left
+    out or given a small valid value or an edge value, k and n stay at most
+    3 unless refused, and --max-dim stays at most 101."""
+    def pick(valid, edges=EDGE_VALUES):
+        # one value in ten is an edge value, so that many lines get past
+        # argument parsing
+        return draw(st.sampled_from(valid if draw(st.integers(0, 9))
+                                    else edges))
+
+    options = {
+        "--model": pick(ARGV_MODELS, ("",)),
+        "--mode": pick(("pointed", "boundary"), ("",)),
+        "--k": pick(("1", "2..3", "1..3")),
+        "--n": pick(("1", "1..2", "2..3")),
+        "--format": pick(("table", "json"), ("",)),
+        "--cache-dir": pick((os.path.join(tmp, "cache"),), ("",)),
+        "--seed": pick(("7",)),
+        "--max-dim": pick(("30", "101"), ("0", "-1", "100", "3..1", "1..",
+                                         "")),
+        "--workers": pick(("1", "2")),
+        "--output": pick((os.path.join(tmp, "out"),), ("",)),
+    }
+    argv = ["compute"]
+    for option, value in options.items():
+        if draw(st.integers(0, 19)):  # now and then an option is left out
+            argv += [option, value]
+    for flag in ("--decompose", "--check-consistency", "--check-generation",
+                 "--check-pbw"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_command_lines_exit_cleanly(data):
+    # a cold and then a warm run on one cache dir give the same bytes; an
+    # argparse refusal is a SystemExit with code 2
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(drawn_argv(tmp))
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            written = Path(tmp, "out").read_bytes() \
+                if Path(tmp, "out").exists() else None
+            runs.append((code, out.getvalue(), err.getvalue(), written))
+    assert runs[0][0] in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE,
+                          EXIT_RESOURCE_CAP)
+    assert "Traceback" not in runs[0][1] + runs[0][2]
+    assert runs[0] == runs[1]
 
 
 # ---- reports --------------------------------------------------------------------
