@@ -397,7 +397,7 @@ class JobSpec:
 # while small, and its k values run past every computable slice.
 MAX_RANGE_VALUES = 10**6
 # Larger k and n values are refused, so that pricing a cell stays fast: the
-# Lyndon counts behind the price cost O(k^2), and S_n has p(n) cycle types
+# lie_trace values behind the price cost O(k^2), and S_n has p(n) cycle types
 # (p(100) = 190,569,292), far beyond any character that can be listed.
 MAX_VALUE = 100
 
@@ -493,8 +493,13 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
     cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
         from . import reptheory
-        from .fistab import character
-        chi = character(model, n, k, mode)
+        from .fistab import character, trace_character
+        zero_d = free_product_generators(model, 1).has_zero_differential
+        chi = (trace_character if zero_d else character)(model, n, k, mode)
+        if chi.dim != dim:
+            raise reptheory.NotARepresentation(
+                f"the character is {chi.dim} at the identity of cell "
+                f"(n={n}, k={k}) of dimension {dim}")
         dec = reptheory.decompose(chi)
         by_partition = lambda kv: _partition_sort_key(kv[0])
         cell["character"] = {
@@ -958,8 +963,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or help
+        return exc.code
     if args.command == "models":
         for name in bundled_model_names():
             print(name)

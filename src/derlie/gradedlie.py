@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb
+from math import comb, gcd
 
 from .ratlinalg import (CheckFailure, SparseMatrix, SpanSolver, add_scaled,
                         inverse)
@@ -175,7 +175,6 @@ class GeneratorSet:
         self._slices: dict[int, _Slice] = {}
         self._expansion_cache: dict[LieBasisElement, TensorVector] = {}
         self._d_cache: dict[LieBasisElement, dict] = {}  # d, Lyndon coords
-        self._lyndon_cache: dict[int, dict[int, int]] = {}  # up_to -> counts
         self._diff_tensor = self._build_differential()
 
     # -- identity -----------------------------------------------------------
@@ -304,12 +303,6 @@ class GeneratorSet:
                 self.word_degree(u), self.word_degree(v))
             self._expansion_cache[elem] = cached
         return cached
-
-    def lyndon_counts(self, up_to: int) -> dict[int, int]:
-        """Memoized _lyndon_counts(self, up_to)."""
-        if up_to not in self._lyndon_cache:
-            self._lyndon_cache[up_to] = _lyndon_counts(self, up_to)
-        return self._lyndon_cache[up_to]
 
     # -- conversions --------------------------------------------------------
 
@@ -541,90 +534,61 @@ def omega(model: ModelSpec, n: int) -> LieVector:
     return elem
 
 
-# -- dimension formulas -------------------------------------------------------
+# -- Lie traces and dimensions -----------------------------------------------
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    res = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            res = -res
-        p += 1
-    if n > 1:
-        res = -res
-    return res
+def _power_cycle_type(mu: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Cycle type of sigma^r for sigma of cycle type mu: a c-cycle splits
+    into gcd(c, r) cycles of length c / gcd(c, r)."""
+    return tuple(sorted((c // gcd(c, r) for c in mu for _ in range(gcd(c, r))),
+                        reverse=True))
 
 
-def _degree_counts(genset: GeneratorSet) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for d in genset.degrees:
-        counts[d] = counts.get(d, 0) + 1
-    return counts
-
-
-def _lyndon_counts(genset: GeneratorSet, up_to: int) -> dict[int, int]:
-    """Number of Lyndon words in each total degree <= up_to, keyed by the
-    degrees reachable from the alphabet (every other degree has none).
-
-    Uses the unique-factorization identity: if h(t) is the generating
-    function of the alphabet by degree, then sum_m l_m * sum_e t^{me}/e
-    equals -log(1 - h(t)).  The series are kept on reachable degrees only,
-    so the cost does not grow with the size of a generator's degree.
-    """
-    h = {d: c for d, c in _degree_counts(genset).items() if 1 <= d <= up_to}
-    # B[N] = N * [t^N](-log(1-h)) = sum_{m | N} m * l_m
-    log_coeffs: dict[int, Fraction] = {}
+@cache
+def lie_trace(degrees: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
+    """Trace of a summand permutation sigma of cycle type mu on the degree-m
+    slice of the free graded Lie algebra on len(mu) copies of generators of
+    the given degrees.  sigma has trace fix * h(q) on the generators, with
+    fix its fixed summands and h the degree series of one copy; PBW,
+    T = S(L_even) x Lambda(L_odd) as Sigma_n-modules, gives
+    -log(1 - fix * h(q)) = sum_{N, r >= 1} eps(N, r)/r * l_N(sigma^r) q^{rN},
+    with eps = 1 for even N and (-1)^(r-1) for odd N (Brandt, Trans. AMS 56,
+    1944; Reutenauer, Free Lie Algebras, ch. 8).  Its r = 1 term is l_m."""
+    fix = mu.count(1)
+    value = Fraction(0)  # [q^m] -log(1 - fix h) = sum_r fix^r/r [q^m] h^r
     power = {0: 1}
     r = 0
     while power:
         r += 1
         nxt: dict[int, int] = {}
         for i, a in power.items():
-            for j, b in h.items():
-                if i + j <= up_to:
-                    nxt[i + j] = nxt.get(i + j, 0) + a * b
+            for d in degrees:
+                if i + d <= m:
+                    nxt[i + d] = nxt.get(i + d, 0) + a
         power = nxt
-        for i, a in power.items():
-            log_coeffs[i] = log_coeffs.get(i, 0) + Fraction(a, r)
-    counts: dict[int, int] = {}
-    for m in log_coeffs:
-        total = 0
-        for d, c in log_coeffs.items():
-            if m % d == 0:
-                mu = _mobius(m // d)
-                if mu:
-                    b = d * c
-                    assert b.denominator == 1
-                    total += mu * int(b)
-        assert total % m == 0
-        counts[m] = total // m
-    return counts
+        value += Fraction(fix ** r * power.get(m, 0), r)
+    for r in range(2, m + 1):
+        if m % r == 0:
+            sign = -1 if (m // r) % 2 and r % 2 == 0 else 1
+            value -= Fraction(sign, r) * lie_trace(
+                degrees, _power_cycle_type(mu, r), m // r)
+    assert value.denominator == 1
+    return int(value)
 
 
 def lie_dim(genset: GeneratorSet, degree: int) -> int:
-    """dim of the free graded Lie algebra in one total degree: Lyndon words
-    of that degree, plus squares of odd-degree Lyndon words."""
-    if degree < 1:
-        return 0
-    counts = genset.lyndon_counts(degree)
-    dim = counts.get(degree, 0)
-    if degree % 2 == 0 and (degree // 2) % 2 == 1:
-        dim += counts.get(degree // 2, 0)
-    return dim
+    """dim of the free graded Lie algebra in one total degree: the trace of
+    the identity."""
+    return lie_trace(tuple(d for _, d in genset.model.generators),
+                     (1,) * genset.arity, degree)
 
 
 def tensor_hilbert_series(genset: GeneratorSet, up_to: int) -> list[int]:
     """Coefficients of 1/(1 - h(t)) for the alphabet series h."""
     h = [0] * (up_to + 1)
-    for d, c in _degree_counts(genset).items():
+    for d in genset.degrees:
         if d <= up_to:
-            h[d] += c
+            h[d] += 1
     g = [0] * (up_to + 1)
     g[0] = 1
     for n in range(1, up_to + 1):
@@ -640,7 +604,8 @@ class PbwReport(namedtuple("PbwReport", ["ok", "first_failure", "up_to"])):
 
 def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
     """Verify prod_m (1+t^m)^{o_m} (1-t^m)^{-e_m} against the tensor algebra
-    Hilbert series, where o_m/e_m are the computed odd/even dimensions."""
+    Hilbert series, where o_m/e_m are lie_dim's odd/even dimensions: the
+    trace recursion at the identity against the PBW product it rests on."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
     dims = [lie_dim(genset, m) for m in range(up_to + 1)]

@@ -948,8 +948,7 @@ def drawn_argv(draw, tmp):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_drawn_command_lines_exit_cleanly(data):
-    # a cold and then a warm run on one cache dir give the same bytes; an
-    # argparse refusal is a SystemExit with code 2
+    # a cold and then a warm run on one cache dir give the same bytes
     with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(drawn_argv(tmp))
         runs = []
@@ -957,10 +956,7 @@ def test_drawn_command_lines_exit_cleanly(data):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
+                code = main(argv)
             written = Path(tmp, "out").read_bytes() \
                 if Path(tmp, "out").exists() else None
             runs.append((code, out.getvalue(), err.getvalue(), written))
@@ -968,6 +964,19 @@ def test_drawn_command_lines_exit_cleanly(data):
                           EXIT_RESOURCE_CAP)
     assert "Traceback" not in runs[0][1] + runs[0][2]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compute", "--model", "cp3", "--k", "1", "--n", "1", "--max-dim", ""],
+     EXIT_VALIDATION),
+    (["compute", "--model", "cp3", "--n", "1"], EXIT_VALIDATION),
+    (["frobnicate"], EXIT_VALIDATION),
+    (["--help"], EXIT_OK),
+    (["compute", "--help"], EXIT_OK)])
+def test_argparse_exit_codes_are_returned(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "usage: derlie" in (err if code else out)
 
 
 # ---- reports --------------------------------------------------------------------

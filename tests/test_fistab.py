@@ -27,6 +27,7 @@ from derlie.fistab import (
     homology_map,
     sigma_action,
     stabilizer_generators,
+    trace_character,
 )
 from derlie.gradedlie import free_product_generators, omega, relabel_tensor
 from derlie.ratlinalg import SparseMatrix, kernel_basis
@@ -474,6 +475,7 @@ def test_differential_that_vanishes_matches_the_plain_model(tmp_path):
               for n in (1, 2, 3) for k in (1, 2)}
     for (n, k), values in traced.items():
         assert values == matrix_character(model, n, k, Mode.POINTED), (n, k)
+        assert values == trace_character(model, n, k).values, (n, k)
     reports = []
     for path in (vanishing, plain):
         report, code = run(JobSpec(model_path=str(path), mode=Mode.POINTED,
@@ -536,11 +538,12 @@ def test_each_injection_is_computed_once(monkeypatch, cold_caches):
 
 
 def test_corrupted_trace_is_a_check_failure(monkeypatch):
+    # a nonzero differential: the block actions' identity check
     original = fistab.sigma_action
 
     def corrupted(sigma, model, k, mode=Mode.POINTED, block=False):
-        # one more on the identity's diagonal of every block; W_1 (x -> [x,x])
-        # is the first the character meets
+        # one more on the identity's diagonal of every block; W_2 is the
+        # first nonzero block the character meets
         act = original(sigma, model, k, mode, **dermodel._flag(block))
         if sigma != tuple(range(len(sigma))):
             return act
@@ -548,10 +551,37 @@ def test_corrupted_trace_is_a_check_failure(monkeypatch):
                             {(i, i): 1 + (i == 0) for i in range(act.rows)})
 
     monkeypatch.setattr(fistab, "sigma_action", corrupted)
+    report, code = run(JobSpec(model_path="s3xs3-product",
+                               mode=Mode.POINTED, k_values=(1,),
+                               n_values=(3,), decompose=True))
+    assert code == EXIT_CHECK_FAILURE
+    assert report["status"] == "check-failure"
+    assert "the identity has trace 13 on a block of dimension 12 at (s=2, " \
+        "k=1, pointed)" in report["error"]
+
+    # a zero differential: the closed form against the counted dimension
+    real = fistab.lie_trace
+    monkeypatch.setattr(fistab, "lie_trace", lambda degrees, mu, m: real(
+        degrees, mu, m) + (mu == (1,) * len(mu)))
     report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
                                k_values=(1,), n_values=(3,),
                                decompose=True))
     assert code == EXIT_CHECK_FAILURE
     assert report["status"] == "check-failure"
-    assert "the identity has trace 2 on a block of dimension 1 at (s=1, " \
-        "k=1, pointed)" in report["error"]
+    assert report["error"].startswith("NotARepresentation: ")
+    assert "(n=3, k=1)" in report["error"]
+
+
+def test_zero_differential_characters_act_on_nothing(monkeypatch,
+                                                     cold_caches):
+    # cold_caches: a memo hit would not reach homology_map
+    calls = spy_on_actions(monkeypatch)
+    report, code = run(JobSpec(model_path="sphere2", mode=Mode.POINTED,
+                               k_values=(1, 2), n_values=(1, 2, 3, 4, 5),
+                               decompose=True))
+    assert code == EXIT_OK and calls == []
+    report, code = run(JobSpec(model_path="s3xs3-product",
+                               mode=Mode.POINTED, k_values=(1, 2),
+                               n_values=(1, 2, 3, 4), decompose=True))
+    assert code == EXIT_OK
+    assert {name for name, _ in calls} == {"sigma_action", "homology_map"}

@@ -125,13 +125,15 @@ def test_lie_dim_matches_operad_series(sphere2, s2xs2, product_model):
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
-       st.integers(1, 9))
+       st.integers(1, 3), st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
-def test_lie_dim_matches_operad_series_on_random_alphabets(degrees, up_to):
+def test_lie_dim_matches_operad_series_on_random_alphabets(degrees, arity,
+                                                           up_to):
+    # lie_dim reads the arity from the identity's cycle type (1,) * arity
     model = ModelSpec("alphabet", [(f"g{i}", d)
                                    for i, d in enumerate(degrees)])
-    g = GeneratorSet(model, 1)
-    series = lie_dims_from_operad_series(degrees, up_to)
+    g = GeneratorSet(model, arity)
+    series = lie_dims_from_operad_series(degrees * arity, up_to)
     assert [lie_dim(g, m) for m in range(1, up_to + 1)] == series[1:]
 
 
@@ -636,22 +638,30 @@ def test_sign_flip_of_omega_does_not_change_kernels(s2xs2):
             assert kernels == reference
 
 
-def test_lyndon_counts_run_once_per_generator_set_and_degree(monkeypatch):
-    from derlie import gradedlie
-    calls = []
-    real = gradedlie._lyndon_counts
+def test_lie_traces_run_once_per_alphabet_cycle_type_and_degree(
+        monkeypatch, cold_caches):
+    from derlie import fistab, gradedlie
+    asked = []
+    real = gradedlie.lie_trace
 
-    def spy(genset, up_to):
-        calls.append((id(genset), up_to))
-        return real(genset, up_to)
+    def spy(degrees, mu, m):  # sees every call, the recursive ones too
+        asked.append((degrees, mu, m))
+        return real(degrees, mu, m)
 
-    monkeypatch.setattr(gradedlie, "_lyndon_counts", spy)
+    for module in (gradedlie, fistab):
+        monkeypatch.setattr(module, "lie_trace", spy)
     model = ModelSpec("two", [("a", 1), ("b", 2)])
-    gensets = [GeneratorSet(model, n) for n in (1, 2, 3)]
+    twin = ModelSpec("twin", [("c", 1), ("d", 2)])  # the same degrees
+    gensets = [GeneratorSet(m, n) for m in (model, twin) for n in (1, 2, 3)]
     for _ in range(3):
         for g in gensets:
             dims = [lie_dim(g, d) for d in range(1, 7)]
             assert pbw_series_check(g, 6).ok
             assert dims == [lie_dim(g, d) for d in range(1, 7)]
-    assert sorted(calls) == sorted(set(calls))
-    assert len(calls) == 3 * 6
+    # the identity's powers are the identity: degrees 0..6 at arities 1..3
+    assert len(set(asked)) == 3 * 7 < len(asked)
+    assert real.cache_info().misses == 3 * 7
+    for _ in range(2):
+        for m in (model, twin):
+            fistab.trace_character(m, 4, 2)
+    assert real.cache_info().misses == len(set(asked)) > 3 * 7

@@ -4,8 +4,11 @@ degree-1 slice, dense tensor traces for degree 2, the closed form of
 ``lie_character`` beyond, all fed through the character inner product) and
 checked against the character route of ``helpers.stability_by_characters``."""
 
+import ast
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +19,8 @@ from helpers import (compose, generation_by_orbit, rank,
                      stability_by_characters)
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode, derivation_basis, generation_flags, homology
-from derlie.fistab import Injection, character, homology_map, sigma_action
+from derlie.fistab import (Injection, character, homology_map, sigma_action,
+                           trace_character)
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
 from derlie.ratlinalg import SparseMatrix
 from derlie.reptheory import ClassFunction, decompose, stability_report
@@ -214,8 +218,40 @@ def test_engine_characters_match_closed_form(request, name, mode, n_max):
         omega_degree = model.ambient_dim - 2 + k \
             if mode is Mode.BOUNDARY else None
         for n in range(1, n_max + 1):
-            assert character(model, n, k, mode).values == \
-                lie_character.character(degrees, n, k, omega_degree), (n, k)
+            # the block actions check the engine's closed form; the oracle
+            # rests on the same theorem as trace_character
+            chi = character(model, n, k, mode).values
+            assert trace_character(model, n, k, mode).values == chi, (n, k)
+            assert chi == lie_character.character(degrees, n, k,
+                                                  omega_degree), (n, k)
+
+
+def _imports(path):
+    """The dotted names of the modules a file imports, at any depth; a
+    relative import counts by the names after its dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = f"{node.module}." if node.module else ""
+            names |= {base + alias.name for alias in node.names}
+            names |= {node.module} - {None}
+    return names
+
+
+def test_oracles_and_engine_do_not_import_each_other():
+    tests = Path(__file__).parent
+    for oracle in ("bruteforce.py", "lie_character.py"):
+        # the standard library only, so no route reaches derlie
+        outside = {name for name in _imports(tests / oracle)
+                   if name.split(".")[0] not in sys.stdlib_module_names}
+        assert not outside, (oracle, outside)
+    test_modules = {path.stem for path in tests.glob("*.py")} | {"tests"}
+    for path in (tests.parent / "src" / "derlie").glob("*.py"):
+        reached = {part for name in _imports(path)
+                   for part in name.split(".")} & test_modules
+        assert not reached, (path.name, reached)
 
 
 def test_sphere_k3_stabilizes_at_nine():
