@@ -496,22 +496,21 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
         from .fistab import character, trace_character
         zero_d = free_product_generators(model, 1).has_zero_differential
         chi = (trace_character if zero_d else character)(model, n, k, mode)
-        if chi.dim != dim:
+        if chi[(1,) * n] != dim:
             raise reptheory.NotARepresentation(
-                f"the character is {chi.dim} at the identity of cell "
+                f"the character is {chi[(1,) * n]} at the identity of cell "
                 f"(n={n}, k={k}) of dimension {dim}")
         dec = reptheory.decompose(chi)
         by_partition = lambda kv: _partition_sort_key(kv[0])
         cell["character"] = {
             partition_str(mu): str(v)
-            for mu, v in sorted(chi.values.items(), key=by_partition)}
+            for mu, v in sorted(chi.items(), key=by_partition)}
         cell["decomposition"] = {
             partition_str(lam): m
-            for lam, m in sorted(dec.multiplicities.items(),
-                                 key=by_partition)}
+            for lam, m in sorted(dec.items(), key=by_partition)}
         cell["padded"] = {
-            partition_str(lam): m
-            for lam, m in sorted(dec.padded().items(), key=by_partition)}
+            partition_str(p): m for p, m in sorted(
+                ((lam[1:], m) for lam, m in dec.items()), key=by_partition)}
     return cell
 
 
@@ -676,10 +675,9 @@ def _run_checks(model: ModelSpec, job: JobSpec,
         failures = []
         for n in job.n_values:
             genset = free_product_generators(model, n)
-            report = pbw_series_check(genset, 8)
-            if not report.ok:
-                failures.append(f"n={n} first failure at degree "
-                                f"{report.first_failure}")
+            failure = pbw_series_check(genset, 8)
+            if failure is not None:
+                failures.append(f"n={n} first failure at degree {failure}")
         checks.append({"name": "pbw", "outcome": "fail" if failures
                        else "pass",
                        "detail": "; ".join(failures) or

@@ -155,8 +155,8 @@ def cycle_type_representative(mu: reptheory.Partition) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def character(model: ModelSpec, n: int, k: int,
-              mode: Mode = Mode.POINTED) -> reptheory.ClassFunction:
+def character(model: ModelSpec, n: int, k: int, mode: Mode = Mode.POINTED
+              ) -> dict[reptheory.Partition, Fraction]:
     """Trace of the homology action at one representative per cycle type.
     sigma maps W_S to W_{sigma S}, so only S made of cycles of sigma count:
     chi_n(mu) is the sum over sub-multisets nu of mu's cycles of
@@ -180,11 +180,11 @@ def character(model: ModelSpec, n: int, k: int,
         m = Counter(mu)
         values[mu] = sum(prod(comb(m[part], c) for part, c in nu) * chi
                          for nu, chi in blocks)
-    return reptheory.ClassFunction(n, values)
+    return values
 
 
-def trace_character(model: ModelSpec, n: int, k: int,
-                    mode: Mode = Mode.POINTED) -> reptheory.ClassFunction:
+def trace_character(model: ModelSpec, n: int, k: int, mode: Mode = Mode.POINTED
+                    ) -> dict[reptheory.Partition, int]:
     """character for a zero differential, where H_k = Der_k is the sum over
     generators g of V_g^dual x L_{|g|+k}, and in boundary mode the
     equivariant onto map theta -> theta(omega) takes away L_{d-2+k}: a
@@ -196,4 +196,4 @@ def trace_character(model: ModelSpec, n: int, k: int,
                                        for d in degrees)
         if mode is Mode.BOUNDARY:
             values[mu] -= lie_trace(degrees, mu, model.ambient_dim - 2 + k)
-    return reptheory.ClassFunction(n, values)
+    return values

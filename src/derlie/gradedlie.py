@@ -545,6 +545,23 @@ def _power_cycle_type(mu: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 @cache
+def _power_coefficients(degrees: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """[q^m] h(q)^r for r = 1, 2, ... while h^r has a term of degree <= m,
+    with h the degree series of one copy of the generators."""
+    coefficients = []
+    power = {0: 1}
+    while power:
+        nxt: dict[int, int] = {}
+        for i, a in power.items():
+            for d in degrees:
+                if i + d <= m:
+                    nxt[i + d] = nxt.get(i + d, 0) + a
+        power = nxt
+        coefficients.append(power.get(m, 0))
+    return tuple(coefficients)
+
+
+@cache
 def lie_trace(degrees: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
     """Trace of a summand permutation sigma of cycle type mu on the degree-m
     slice of the free graded Lie algebra on len(mu) copies of generators of
@@ -555,18 +572,9 @@ def lie_trace(degrees: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
     with eps = 1 for even N and (-1)^(r-1) for odd N (Brandt, Trans. AMS 56,
     1944; Reutenauer, Free Lie Algebras, ch. 8).  Its r = 1 term is l_m."""
     fix = mu.count(1)
-    value = Fraction(0)  # [q^m] -log(1 - fix h) = sum_r fix^r/r [q^m] h^r
-    power = {0: 1}
-    r = 0
-    while power:
-        r += 1
-        nxt: dict[int, int] = {}
-        for i, a in power.items():
-            for d in degrees:
-                if i + d <= m:
-                    nxt[i + d] = nxt.get(i + d, 0) + a
-        power = nxt
-        value += Fraction(fix ** r * power.get(m, 0), r)
+    # [q^m] -log(1 - fix h) = sum_r fix^r/r [q^m] h^r
+    value = sum((Fraction(fix ** r * c, r) for r, c in
+                 enumerate(_power_coefficients(degrees, m), 1)), Fraction(0))
     for r in range(2, m + 1):
         if m % r == 0:
             sign = -1 if (m // r) % 2 and r % 2 == 0 else 1
@@ -596,16 +604,11 @@ def tensor_hilbert_series(genset: GeneratorSet, up_to: int) -> list[int]:
     return g
 
 
-class PbwReport(namedtuple("PbwReport", ["ok", "first_failure", "up_to"])):
-    """ok: bool; first_failure: the least failing degree, or None;
-    up_to: int."""
-    __slots__ = ()
-
-
-def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
+def pbw_series_check(genset: GeneratorSet, up_to: int) -> int | None:
     """Verify prod_m (1+t^m)^{o_m} (1-t^m)^{-e_m} against the tensor algebra
     Hilbert series, where o_m/e_m are lie_dim's odd/even dimensions: the
-    trace recursion at the identity against the PBW product it rests on."""
+    trace recursion at the identity against the PBW product it rests on.
+    Returns the least degree where the two differ, or None."""
     if up_to < 1:
         raise ValueError("up_to must be at least 1")
     dims = [lie_dim(genset, m) for m in range(up_to + 1)]
@@ -630,10 +633,7 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> PbwReport:
                         nxt[i + j] += lhs[i] * factor[j]
         lhs = nxt
     rhs = tensor_hilbert_series(genset, up_to)
-    for m in range(up_to + 1):
-        if lhs[m] != rhs[m]:
-            return PbwReport(False, m, up_to)
-    return PbwReport(True, None, up_to)
+    return next((m for m in range(up_to + 1) if lhs[m] != rhs[m]), None)
 
 
 # -- model validation ---------------------------------------------------------

@@ -122,51 +122,14 @@ def class_size(mu: Partition) -> int:
     return factorial(sum(mu)) // z_order(mu)
 
 
-class ClassFunction:
-    """A function on conjugacy classes of the symmetric group on n letters,
-    given by cycle type."""
-
-    def __init__(self, n: int, values: dict[Partition, Fraction]):
-        self.n, self.values = n, values
-        expected = set(partitions(n))
-        given = set(values)
-        if given != expected:
-            missing = expected - given
-            raise ValueError(f"class function must cover all cycle types; "
-                             f"missing {sorted(missing)}")
-
-    def __call__(self, mu: Partition) -> Fraction:
-        return self.values[mu]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
-    @property
-    def dim(self) -> Fraction:
-        return self.values[(1,) * self.n] if self.n else Fraction(1)
-
-
-class Decomposition:
-    """Multiplicities of the irreducibles in a genuine representation."""
-
-    def __init__(self, n: int, multiplicities: dict[Partition, int]):
-        self.n, self.multiplicities = n, multiplicities
-
-    @property
-    def dim(self) -> int:
-        return sum(m * irr_dim(lam) for lam, m in self.multiplicities.items())
-
-    def padded(self) -> dict[Partition, int]:
-        """Re-index by the partition obtained by dropping the first part."""
-        return {lam[1:]: m for lam, m in self.multiplicities.items()}
-
-
-def decompose(chi: ClassFunction) -> Decomposition:
-    """Inner products with the irreducible characters.  A negative or
-    fractional multiplicity certifies a corrupted upstream computation."""
-    n = chi.n
+def decompose(chi: dict[Partition, Fraction]) -> dict[Partition, int]:
+    """Multiplicities of the irreducibles in the class function chi, a value
+    at every cycle type of n, by inner products with their characters.  A
+    negative or fractional multiplicity, or a dimension other than chi's
+    value at the identity, certifies a corrupted upstream computation."""
+    n = sum(next(iter(chi)))
     # <chi, chi_lam> = sum over mu of |class mu| chi(mu) chi_lam(mu) / n!
-    weighted = [(mu, class_size(mu) * chi(mu)) for mu in partitions(n)]
+    weighted = [(mu, class_size(mu) * chi[mu]) for mu in partitions(n)]
     order = factorial(n)
     mult: dict[Partition, int] = {}
     for lam, _ in weighted:
@@ -178,11 +141,11 @@ def decompose(chi: ClassFunction) -> Decomposition:
                 "class function is not the character of a representation")
         if total:
             mult[lam] = total
-    dec = Decomposition(n, mult)
-    if dec.dim != chi.dim:
+    dim = sum(m * irr_dim(lam) for lam, m in mult.items())
+    if dim != chi[(1,) * n]:
         raise NotARepresentation(
-            f"decomposition dimension {dec.dim} differs from {chi.dim}")
-    return dec
+            f"decomposition dimension {dim} differs from {chi[(1,) * n]}")
+    return mult
 
 
 def pad(lam_bar: Partition, n: int) -> Partition:

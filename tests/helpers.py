@@ -26,7 +26,7 @@ from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
                               tensor_commutator)
 from derlie.ratlinalg import (SparseMatrix, _echelon, add_scaled,
                               extend_echelon)
-from derlie.reptheory import decompose
+from derlie.reptheory import decompose, irr_dim
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
@@ -199,7 +199,8 @@ def stability_by_characters(model, mode: Mode, k: int, n_values
     rows, dims = {}, {}
     for n in n_values:
         dec = decompose(character(model, n, k, mode))
-        rows[n], dims[n] = dec.padded(), dec.dim
+        rows[n] = {lam[1:]: m for lam, m in dec.items()}
+        dims[n] = sum(m * irr_dim(lam) for lam, m in dec.items())
     return rows, dims
 
 

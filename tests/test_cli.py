@@ -1,7 +1,9 @@
 import concurrent.futures
 import contextlib
 import functools
+import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -36,7 +38,8 @@ from derlie.cli import (
     run,
 )
 from derlie.dermodel import Mode
-from derlie.gradedlie import GeneratorSet, ModelSpec, validate_model
+from derlie.gradedlie import (GeneratorSet, ModelSpec, free_product_generators,
+                              lie_dim, validate_model)
 from derlie.reptheory import stability_report
 
 F = Fraction
@@ -413,7 +416,8 @@ def test_parse_model_differential_roundtrip():
     text = ("name: prod\ngenerators:\n  a: 2\n  b: 2\n  c: 5\n"
             "differential:\n  c: [a, b]\n")
     model = parse_model_text(text)
-    from derlie.gradedlie import GeneratorSet, ModelSpec, validate_model
+    from derlie.gradedlie import (GeneratorSet, ModelSpec, free_product_generators,
+                              lie_dim, validate_model)
     assert validate_model(model) == []
 
 
@@ -644,6 +648,46 @@ def test_cost_guard_counts_only_built_slices(monkeypatch):
                                     spec.k_values[0], spec.mode, full)
                     for n in spec.n_values)
         assert largest_listed(monkeypatch, spec) <= price, kw
+
+
+def test_cost_guard_prices_exactly_what_the_engine_lists(monkeypatch):
+    # the price of a cell is the largest, over the arities it lists, of the
+    # pointed dimensions of its listed degrees k and above, counted from Lie
+    # dimensions: a cell lists blocks, the consistency check full cells
+    from derlie import dermodel
+    from derlie.cli import _compute_cell
+    real, listed = dermodel.derivation_basis, set()
+
+    def spy(model, n, kk, mode=Mode.POINTED, block=False):
+        listed.add((n, kk))
+        return real(model, n, kk, mode, **dermodel._flag(block))
+
+    def pointed(model, j, kk):
+        genset = free_product_generators(model, j)
+        return sum(lie_dim(genset, d + kk) for d in genset.degrees)
+
+    monkeypatch.setattr(dermodel, "derivation_basis", spy)
+    cases = 0
+    for name in bundled_model_names():
+        model = load_model(name)
+        for mode in [Mode.POINTED] + [Mode.BOUNDARY] * model.has_pairing:
+            for k, n, full in itertools.product((1, 2, 3), (1, 2, 3, 4, 5),
+                                                (False, True)):
+                price = _predicted_cost(model, n, k, mode, full)
+                if price > 50000:
+                    continue
+                forget_memos()  # a memo hit would not reach the spy
+                listed.clear()
+                if full:
+                    dermodel.homology(model, n, k, mode)
+                else:
+                    _compute_cell(model, mode, n, k, False)
+                assert price == max(
+                    sum(pointed(model, j, kk) for j, kk in listed
+                        if j == arity and kk >= k)
+                    for arity, _ in listed), (name, mode, k, n, full)
+                cases += 1
+    assert cases == 356
 
 
 def test_cost_guard_ignores_unreachable_degrees(tmp_path):
@@ -1402,3 +1446,34 @@ def test_bench_tracer_installs_on_the_package():
         timeout=60, cwd=root,
         env={**os.environ, "PYTHONPATH": f"{root / 'src'}:{root / 'bench'}"})
     assert out.returncode == 0, out.stderr
+
+
+def _bench_run():
+    """bench/run.py as a module, read only: its workloads and goldens."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_RUN = _bench_run()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RUN.WORKLOADS))
+def test_benchmark_jobs_reproduce_their_goldens(tmp_path, name):
+    # each workload's job as the benchmark starts it, run in process with
+    # new memos; a warm replay runs cold first, to fill its cache dir
+    workload = BENCH_RUN.WORKLOADS[name]
+    golden = json.loads((BENCH_RUN.GOLDENS / f"{workload.golden}.json")
+                        .read_text("utf-8"))
+    args = ["compute", *workload.args, "--format", "json", "--workers", "1",
+            "--seed", "0"]
+    if workload.cache != "none":
+        args += ["--cache-dir", str(tmp_path / "cache")]
+    for i in range(2 if workload.cache == "warm" else 1):
+        forget_memos()
+        report = tmp_path / f"report{i}.json"
+        assert main([*args, "--output", str(report)]) == EXIT_OK
+        assert BENCH_RUN.check_report(report, golden) == "", i

@@ -23,7 +23,7 @@ from derlie.fistab import (Injection, character, homology_map, sigma_action,
                            trace_character)
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
 from derlie.ratlinalg import SparseMatrix
-from derlie.reptheory import ClassFunction, decompose, stability_report
+from derlie.reptheory import decompose, stability_report
 
 F = Fraction
 
@@ -220,8 +220,8 @@ def test_engine_characters_match_closed_form(request, name, mode, n_max):
         for n in range(1, n_max + 1):
             # the block actions check the engine's closed form; the oracle
             # rests on the same theorem as trace_character
-            chi = character(model, n, k, mode).values
-            assert trace_character(model, n, k, mode).values == chi, (n, k)
+            chi = character(model, n, k, mode)
+            assert trace_character(model, n, k, mode) == chi, (n, k)
             assert chi == lie_character.character(degrees, n, k,
                                                   omega_degree), (n, k)
 
@@ -261,9 +261,9 @@ def test_sphere_k3_stabilizes_at_nine():
     assert code == EXIT_OK
     for cell in report["cells"]:
         n = cell["n"]
-        oracle = ClassFunction(n, lie_character.character((1,), n, 3))
+        oracle = decompose(lie_character.character((1,), n, 3))
         rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
-        assert rows == decompose(oracle).padded(), n
+        assert rows == {lam[1:]: m for lam, m in oracle.items()}, n
     assert report["stability"][0]["stabilized_at"] == 9
 
 
@@ -276,9 +276,9 @@ def test_sphere_k4_stabilizes_at_eleven():
     assert code == EXIT_OK
     for cell in report["cells"][-2:]:
         n = cell["n"]
-        oracle = ClassFunction(n, lie_character.character((1,), n, 4))
+        oracle = decompose(lie_character.character((1,), n, 4))
         rows = {partition_from_str(s): m for s, m in cell["padded"].items()}
-        assert rows == decompose(oracle).padded(), n
+        assert rows == {lam[1:]: m for lam, m in oracle.items()}, n
     assert report["stability"][0]["stabilized_at"] == 11
 
 
@@ -343,7 +343,7 @@ def test_random_zero_differential_models_match_both_oracles(model_data,
         for k in (1, 2):
             omega_degree = d - 2 + k if mode is Mode.BOUNDARY else None
             oracle = lie_character.character(degrees, n, k, omega_degree)
-            assert character(model, n, k, mode).values == oracle, (mode, k)
+            assert character(model, n, k, mode) == oracle, (mode, k)
             dim = homology(model, n, k, mode).dimension
             assert dim == oracle[(1,) * n], (mode, k)
             top = max(degrees) + k if omega_degree is None else omega_degree
