@@ -17,7 +17,7 @@ Model file format (line oriented, ``#`` starts a comment):
 Bracket expressions use nested pairs and rational literals, for example
 ``[a, [b, c]] - 1/2 [b, b]``.
 
-Reports are byte-identical across runs, cache states and worker counts:
+Reports are byte-identical across runs and cache states:
 cells are sorted by (mode, k, n), JSON keys are sorted, and no timestamps
 are emitted.
 """
@@ -369,7 +369,7 @@ class JobSpec:
                  decompose: bool = False, check_consistency: bool = False,
                  check_generation: bool = False, check_pbw: bool = False,
                  fmt: str = "table", cache_dir: str | None = None,
-                 seed: int = 0, max_dim: int = 20000, workers: int = 1):
+                 seed: int = 0, max_dim: int = 20000):
         if not k_values or not n_values:
             raise ValueError("k and n ranges must be nonempty")
         if min(k_values) < 1:
@@ -382,15 +382,13 @@ class JobSpec:
             raise ValueError(f"unknown format {fmt!r}")
         if max_dim < 1:
             raise ValueError("max-dim must be positive")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self.model_path, self.mode = model_path, mode
         self.k_values, self.n_values = k_values, n_values
         self.decompose, self.check_pbw = decompose, check_pbw
         self.check_consistency = check_consistency
         self.check_generation = check_generation
         self.fmt, self.cache_dir, self.seed = fmt, cache_dir, seed
-        self.max_dim, self.workers = max_dim, workers
+        self.max_dim = max_dim
 
 
 # No job over a longer range can finish: its n values pass --max-dim only
@@ -488,7 +486,7 @@ def _cache_write(cache_dir: str | None, key: str, cell: dict) -> None:
 def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
                   decompose: bool) -> dict:
     # H_k(n) is the sum over s of C(n, s) copies of the block W_s(k)
-    dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dimension
+    dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dim
               for s in range(1, min(n, support_bound(model, k)) + 1))
     cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
@@ -569,10 +567,6 @@ def _is_partition(text: str, n: int | None = None) -> bool:
         return False
     return (partition_str(p) == text and all(x > 0 for x in p)
             and list(p) == sorted(p, reverse=True) and n in (None, sum(p)))
-
-
-def _cell_worker(args) -> dict:
-    return _compute_cell(*args)
 
 
 def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
@@ -778,19 +772,10 @@ def run(job: JobSpec) -> tuple[dict, int]:
                 pending.append((n, k, key))
 
     try:
-        if pending:
-            args = [(model, job.mode, n, k, job.decompose)
-                    for n, k, _ in pending]
-            pool_size = min(job.workers, len(pending), os.cpu_count() or 1)
-            if pool_size > 1:
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    results = list(pool.map(_cell_worker, args))
-            else:
-                results = list(map(_cell_worker, args))
-            for (n, k, key), cell in zip(pending, results):
-                _cache_write(job.cache_dir, key, cell)
-                cells.append(cell)
+        for n, k, key in pending:
+            cell = _compute_cell(model, job.mode, n, k, job.decompose)
+            _cache_write(job.cache_dir, key, cell)
+            cells.append(cell)
         checks, stability = _run_checks(model, job, cells)
     except CheckFailure as exc:
         return _report(job, "check-failure", ident,
@@ -952,7 +937,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     comp.add_argument("--cache-dir", default=None)
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--max-dim", type=int, default=20000)
-    comp.add_argument("--workers", type=int, default=1)
+    comp.add_argument("--workers", type=int, default=1,
+                      help="accepted for old command lines; no effect")
     comp.add_argument("--output", default=None,
                       help="write the report here instead of stdout")
     models = sub.add_parser("models", help="list bundled models")
@@ -970,6 +956,8 @@ def main(argv=None) -> int:
             print(name)
         return EXIT_OK
     try:
+        if args.workers < 1:
+            raise ValueError("workers must be at least 1")
         job = JobSpec(
             model_path=args.model,
             mode=Mode(args.mode),
@@ -983,7 +971,6 @@ def main(argv=None) -> int:
             cache_dir=args.cache_dir,
             seed=args.seed,
             max_dim=args.max_dim,
-            workers=args.workers,
         )
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -263,36 +263,16 @@ def differential_matrix(model: ModelSpec, n: int, k: int,
     return SparseMatrix.from_columns(columns, tgt.dim)
 
 
-class HomologySlice:
-    """Computed homology of one derivation-complex degree: representatives
-    in local coordinates of the degree-k slice, and the differential out of
-    it (None for a zero differential)."""
-
-    def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
-                 dimension: int, representatives: list[Vector],
-                 quotient: ratlinalg.Quotient, delta: SparseMatrix | None):
-        self.model, self.n, self.k, self.mode = model, n, k, mode
-        self.dimension, self.representatives = dimension, representatives
-        self._quotient, self._delta = quotient, delta
-
-    def reduce(self, local_vec: Mapping[int, Fraction]) -> Vector:
-        """Class coordinates of a cycle given in slice coordinates."""
-        return self._quotient.reduce(local_vec)
-
-    def is_cycle(self, local_vec: Mapping[int, Fraction]) -> bool:
-        return self._delta is None or not self._delta.apply(local_vec)
-
-
 @cache
 def homology(model: ModelSpec, n: int, k: int,
              mode: Mode = Mode.POINTED, block: bool = False
-             ) -> HomologySlice:
+             ) -> ratlinalg.Quotient:
     """H_k of the positively truncated complex, k >= 1; with block, of the
-    full-support block."""
+    full-support block.  Representatives and reduce are in local
+    coordinates of the degree-k slice."""
     if k < 1:
         raise ValueError("homology is reported for degrees k >= 1")
     sl = derivation_basis(model, n, k, mode, **_flag(block))
-    delta_k = None
     if sl.genset.has_zero_differential or not sl.dim:
         # delta = 0 or an empty slice: every vector is a cycle and none is a
         # boundary, so no elimination runs and no degree-(k-1) or (k+1)
@@ -301,13 +281,11 @@ def homology(model: ModelSpec, n: int, k: int,
                                list(range(sl.dim)))
         boundaries = SubspaceBasis(sl.dim, [], [])
     else:
-        delta_k = differential_matrix(model, n, k, mode, **_flag(block))
-        cycles = ratlinalg.kernel_basis(delta_k)
+        cycles = ratlinalg.kernel_basis(
+            differential_matrix(model, n, k, mode, **_flag(block)))
         boundaries = ratlinalg.image_basis(
             differential_matrix(model, n, k + 1, mode, **_flag(block)))
-    quotient = ratlinalg.quotient_basis(cycles, boundaries)
-    return HomologySlice(model, n, k, mode, quotient.dim,
-                         list(quotient.representatives), quotient, delta_k)
+    return ratlinalg.quotient_basis(cycles, boundaries)
 
 
 def generation_flags(model: ModelSpec, mode: Mode, k: int, n_values
@@ -324,5 +302,5 @@ def generation_flags(model: ModelSpec, mode: Mode, k: int, n_values
     ns = sorted(n_values)
     bound = support_bound(model, k)
     return {m: i > 0 and (m > bound or not homology(
-                model, m, k, mode, block=True).dimension)
+                model, m, k, mode, block=True).dim)
             for i, m in enumerate(ns)}

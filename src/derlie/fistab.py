@@ -97,13 +97,13 @@ def homology_map(inj: Injection, model: ModelSpec, k: int,
                         derivation_basis(model, inj.target, k, mode, **flag))
     columns: list[Vector] = []
     for rep in src_h.representatives:
-        local = push(rep)
-        if not tgt_h.is_cycle(local):
+        cls = tgt_h.reduce(push(rep))
+        if cls is None:
             raise NotAChainMap(
                 f"image of a representative is not a cycle at "
                 f"(n={inj.source}->{inj.target}, k={k})")
-        columns.append(tgt_h.reduce(local))
-    return SparseMatrix.from_columns(columns, tgt_h.dimension)
+        columns.append(cls)
+    return SparseMatrix.from_columns(columns, tgt_h.dim)
 
 
 @cache
@@ -163,7 +163,7 @@ def character(model: ModelSpec, n: int, k: int, mode: Mode = Mode.POINTED
     prod_l C(m_l(mu), m_l(nu)) chi_{W_|nu|}(nu), a block action's diagonal."""
     blocks = []  # (multiplicities of nu, chi_{W_|nu|}(nu))
     for s in range(1, min(n, support_bound(model, k)) + 1):
-        dim = homology(model, s, k, mode, block=True).dimension
+        dim = homology(model, s, k, mode, block=True).dim
         if not dim:
             continue
         for nu in reptheory.partitions(s):

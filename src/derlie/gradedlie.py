@@ -645,6 +645,9 @@ def pbw_series_check(genset: GeneratorSet, up_to: int) -> int | None:
 # millions of words; at this limit a model file of under 200 characters is
 # validated and priced in under 0.05 s of CPU (2-core Xeon, Python 3.11).
 MAX_EXPANSION_WORDS = 2**12
+# The bound that k and n have: _lyndon_words recurses once per letter, and a
+# listed word then has at most about 200 letters.
+MAX_DEGREE = 100
 
 
 def validate_model(model: ModelSpec) -> list[str]:
@@ -658,6 +661,8 @@ def validate_model(model: ModelSpec) -> list[str]:
         if deg < 1:
             problems.append(
                 f"simple-connectivity: generator {sym!r} has degree {deg} < 1")
+        elif deg > MAX_DEGREE:
+            problems.append(f"generator {sym!r} has degree {deg} > {MAX_DEGREE}")
     if problems:
         return problems
 

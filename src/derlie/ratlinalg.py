@@ -303,11 +303,11 @@ class Quotient:
     def dim(self) -> int:
         return len(self._free_index)
 
-    def reduce(self, v: Mapping[int, Fraction]) -> Vector:
-        """Class coordinates of a cycle v; raises if v is not a cycle."""
+    def reduce(self, v: Mapping[int, Fraction]) -> Vector | None:
+        """Class coordinates of a cycle v, or None if v is not a cycle."""
         c = coordinates_in_span(self._cycles, v)
         if c is None:
-            raise ValueError("vector is not in the cycle space")
+            return None
         # RREF rows are zero at each other's pivots: c's pivot entries stay
         for p in [p for p in c if p in self._boundary]:
             add_scaled(c, -c[p], self._boundary[p])

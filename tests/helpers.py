@@ -167,7 +167,7 @@ def generation_by_orbit(model, mode: Mode, k: int, n_range) -> dict[int, bool]:
             out[m] = False  # nothing below to generate from, by convention
             continue
         hm = homology(model, m, k, mode)
-        if hm.dimension == 0:
+        if hm.dim == 0:
             out[m] = True
             continue
         image = homology_map(Injection.standard(m - 1, m), model, k, mode)
@@ -175,11 +175,11 @@ def generation_by_orbit(model, mode: Mode, k: int, n_range) -> dict[int, bool]:
                       for sigma in _symmetric_group_generators(m)]
         span: dict = {}
         queue = [v for v in image.columns() if extend_echelon(span, v)]
-        while queue and len(span) < hm.dimension:
+        while queue and len(span) < hm.dim:
             v = queue.pop()
             queue += [w for w in (g.apply(v) for g in generators)
                       if extend_echelon(span, w)]
-        out[m] = len(span) == hm.dimension
+        out[m] = len(span) == hm.dim
     return out
 
 

@@ -76,7 +76,7 @@ def test_criterion_1_sphere_pointed_pipeline():
     brute = bruteforce.BruteComplex(bruteforce.sphere2_model(), 1, 6)
     oracle = [brute.pointed_homology_dim(k) for k in (1, 2, 3)]
     assert oracle == [1, 0, 0]  # pi_{k+2}(S^2) x Q: Q, 0, 0
-    engine = [homology(model, 1, k, Mode.POINTED).dimension
+    engine = [homology(model, 1, k, Mode.POINTED).dim
               for k in (1, 2, 3)]
     elapsed = time.monotonic() - start
     ok = engine == oracle == [1, 0, 0] and elapsed < 1.0
@@ -92,9 +92,9 @@ def test_criterion_2_wedge_growth():
         expected = n * (n * (n + 1) // 2)
         brute = bruteforce.BruteComplex(bruteforce.sphere2_model(), n, 3)
         assert brute.pointed_homology_dim(1) == expected
-        got = homology(model, n, 1, Mode.POINTED).dimension
+        got = homology(model, n, 1, Mode.POINTED).dim
         ok = ok and got == expected
-    assert homology(model, 2, 1, Mode.POINTED).dimension == 6
+    assert homology(model, 2, 1, Mode.POINTED).dim == 6
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0
     assert _verdict(2, "wedge growth", ok, f"{elapsed:.2f}s")
@@ -135,7 +135,7 @@ def test_criterion_4_boundary_pipeline():
         for sigma in itertools.permutations(range(n)):
             mapping = dict(enumerate(sigma))
             ok = ok and relabel_element(gs, gs, mapping, wn) == wn
-    ok = ok and homology(model, 1, 1, Mode.BOUNDARY).dimension == 4
+    ok = ok and homology(model, 1, 1, Mode.BOUNDARY).dim == 4
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 5.0
     assert _verdict(4, "boundary pipeline", ok, f"{elapsed:.2f}s")
@@ -223,7 +223,7 @@ def test_criterion_6_representation_theory():
                 chi = character(model, n, k, mode)
                 dec = decompose(chi)  # raises on any bad multiplicity
                 ok = ok and sum(m * irr_dim(lam) for lam, m in dec.items()) \
-                    == homology(model, n, k, mode).dimension
+                    == homology(model, n, k, mode).dim
     elapsed = time.monotonic() - start
     assert _verdict(6, "representation theory", ok, f"{elapsed:.2f}s")
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import functools
 import importlib.util
@@ -26,6 +25,7 @@ from derlie.cli import (
     JobSpec,
     ParseError,
     ValidationError,
+    _compute_cell,
     _predicted_cost,
     bundled_model_names,
     emit_report,
@@ -75,6 +75,30 @@ def test_degree_zero_generator_rejected(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_model(str(path))
     assert any("simple-connectivity" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("body,argv,degree", [
+    # Lyndon words of thousands of letters, which recursed past the limit
+    ("generators:\n  a: 1\n  b: 3000\n", ["--k", "1"], 3000),
+    ("generators:\n  a: 1\n  b: 899\n", ["--k", "100"], 899),
+    ("ambient_dim: 3003\ngenerators:\n  a: 1\n  b: 3000\npairing:\n"
+     "  a b: 1\n", ["--mode", "boundary", "--k", "1"], 3000),
+    # the largest degree with the largest k: words of about 200 letters
+    ("generators:\n  a: 1\n  b: 100\n", ["--k", "100"], None),
+])
+def test_generator_degree_is_at_most_100(tmp_path, capsys, body, argv,
+                                         degree):
+    path = tmp_path / "deep.model"
+    path.write_text("name: deep\n" + body)
+    code = main(["compute", "--model", str(path), "--n", "1", *argv])
+    out, err = capsys.readouterr()
+    assert err == ""
+    if degree is None:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_VALIDATION
+        assert out.endswith(f"\n\nerror: generator 'b' has degree {degree} "
+                            "> 100\nstatus: validation-error\n")
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -355,9 +379,9 @@ def test_numbers_in_the_grammar_parse():
 
 
 MUTATIONS = ("drop", "duplicate", "swap", "splice", "insert")
-# separators and digits that the grammar refuses or reads, and letters
-# outside ASCII
-INSERTS = "_+\u00b2\u0661\u00e9\u03bb\u0416"
+# separators and digits that the grammar refuses or reads, letters outside
+# ASCII, and a digit run that makes a degree or a coefficient large
+INSERTS = (*"_+\u00b2\u0661\u00e9\u03bb\u0416", "000")
 
 
 @st.composite
@@ -690,19 +714,16 @@ def test_cost_guard_prices_exactly_what_the_engine_lists(monkeypatch):
     assert cases == 356
 
 
-def test_cost_guard_ignores_unreachable_degrees(tmp_path):
+def test_cost_guard_ignores_unreachable_degrees():
     # a generator of degree 10^6 reaches no degree between 10^6 and 2*10^6,
-    # so the counts cost no more than for a small degree
-    path = tmp_path / "huge.model"
-    path.write_text("name: huge\ngenerators:\n  x: 1000000\n")
-    model = load_model(str(path))
+    # so the counts cost no more than for a small degree; a model file may
+    # not declare that degree, so the model is built here
+    model = ModelSpec("huge", [("x", 10**6)])
     start = time.process_time()
     assert _predicted_cost(model, 2, 1, Mode.POINTED) == 0
-    report, code = run(job(model_path=str(path), k_values=(1,),
-                           n_values=(1, 2)))
+    cells = [_compute_cell(model, Mode.POINTED, n, 1, False) for n in (1, 2)]
     assert time.process_time() - start < 0.5
-    assert code == EXIT_OK
-    assert [c["dim"] for c in report["cells"]] == [0, 0]
+    assert [c["dim"] for c in cells] == [0, 0]
 
 
 def test_cache_dir_that_is_a_file_is_rejected_first(tmp_path, monkeypatch):
@@ -850,8 +871,8 @@ def test_dimension_only_job_loads_no_character_layer(tmp_path, argv):
     (["--check-consistency"], CHARACTER_LAYER),
     # the generation flags read the blocks, with no action or FI map
     (["--check-generation"], set()),
-    # the pool's workers load fistab; the job's own process may not
-    (["--decompose", "--workers", "2"], None),
+    # cells run in the job's own process whatever --workers says
+    (["--decompose", "--workers", "2"], CHARACTER_LAYER),
 ])
 def test_character_layer_loads_where_a_job_uses_it(tmp_path, flags, loaded):
     argv = ["compute", "--model", "sphere2", "--k", "1..2", "--n", "1..4",
@@ -859,7 +880,7 @@ def test_character_layer_loads_where_a_job_uses_it(tmp_path, flags, loaded):
     out = tmp_path / "report.out"
     code, modules = _isolated_job(argv, out)
     assert code == EXIT_OK
-    assert loaded is None or modules & CHARACTER_LAYER == loaded
+    assert modules & CHARACTER_LAYER == loaded
     assert _same_report_in_process(argv, out, tmp_path)
 
 
@@ -909,35 +930,6 @@ def test_cli_usage_error_workers_below_one(capsys, workers):
                  "--workers", workers])
     assert code == EXIT_VALIDATION
     assert "usage error" in capsys.readouterr().err
-
-
-def test_worker_pool_capped_at_pending_cells_and_cores(monkeypatch):
-    from derlie import cli as climod
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(climod.os, "cpu_count", lambda: 64)
-    report, code = run(job(k_values=(1,), n_values=(1, 2),
-                           workers=10 ** 6))
-    assert code == EXIT_OK and len(report["cells"]) == 2
-    monkeypatch.setattr(climod.os, "cpu_count", lambda: 3)
-    report, code = run(job(k_values=(1,), n_values=(1, 2, 3, 4),
-                           workers=10 ** 6))
-    assert code == EXIT_OK and len(report["cells"]) == 4
-    assert sizes == [2, 3]
 
 
 def test_cli_models_listing(capsys):

@@ -284,7 +284,7 @@ def test_boundary_differential_zero_for_s2xs2(s2xs2):
 
 def test_sphere_homology_matches_rational_homotopy(sphere2):
     # pi_k(Map_*(S^2,S^2); id) x Q = pi_{k+2}(S^2) x Q: dims 1, 0, 0
-    dims = [homology(sphere2, 1, k, Mode.POINTED).dimension for k in (1, 2, 3)]
+    dims = [homology(sphere2, 1, k, Mode.POINTED).dim for k in (1, 2, 3)]
     assert dims == [1, 0, 0]
     brute = bruteforce.BruteComplex(bruteforce.sphere2_model(), 1, 6)
     assert [brute.pointed_homology_dim(k) for k in (1, 2, 3)] == [1, 0, 0]
@@ -292,23 +292,23 @@ def test_sphere_homology_matches_rational_homotopy(sphere2):
 
 def test_sphere_wedge_homology(sphere2):
     h = homology(sphere2, 2, 1, Mode.POINTED)
-    assert h.dimension == 6
+    assert h.dim == 6
     brute = bruteforce.BruteComplex(bruteforce.sphere2_model(), 2, 4)
     assert brute.pointed_homology_dim(1) == 6
 
 
 def test_boundary_homology_dim4(s2xs2):
     h = homology(s2xs2, 1, 1, Mode.BOUNDARY)
-    assert h.dimension == 4
+    assert h.dim == 4
     for rep in h.representatives:
-        assert h.is_cycle(rep)
+        assert h.reduce(rep) is not None
 
 
 def test_product_model_homology_against_oracle(product_model):
     brute = bruteforce.BruteComplex(bruteforce.product_model(), 1, 9)
     for k in (1, 2, 3):
         expected = brute.pointed_homology_dim(k)
-        got = homology(product_model, 1, k, Mode.POINTED).dimension
+        got = homology(product_model, 1, k, Mode.POINTED).dim
         assert got == expected, (k, got, expected)
 
 
@@ -321,7 +321,7 @@ def test_product_model_homology_against_oracle_higher_arity(
     brute = bruteforce.BruteComplex(bruteforce.product_model(), n, max_degree)
     for k, dim in expected.items():
         assert brute.pointed_homology_dim(k) == dim
-        assert homology(product_model, n, k, Mode.POINTED).dimension == dim
+        assert homology(product_model, n, k, Mode.POINTED).dim == dim
 
 
 def spy_on_slices(monkeypatch) -> list:
@@ -344,7 +344,7 @@ def test_zero_differential_homology_is_slice(sphere2, s2xs2, monkeypatch):
                               (s2xs2, 2, 1, Mode.BOUNDARY)]:
         calls.clear()
         h = homology.__wrapped__(model, n, k, mode)  # bypass the memo
-        assert h.dimension == derivation_basis(model, n, k, mode).dim
+        assert h.dim == derivation_basis(model, n, k, mode).dim
         assert ("differential_matrix", k) not in calls
         assert ("derivation_basis", k - 1) not in calls
         assert ("derivation_basis", k + 1) not in calls
@@ -368,7 +368,7 @@ def test_empty_block_builds_no_neighbour_or_differential(product_model,
     assert derivation_basis(product_model, 4, 3, block=True).pointed_dim > 0
     calls = spy_on_slices(monkeypatch)
     h = homology.__wrapped__(product_model, 4, 2, Mode.POINTED, block=True)
-    assert h.dimension == 0
+    assert h.dim == 0
     assert calls == [("derivation_basis", 2)]
 
 
@@ -469,17 +469,17 @@ def test_even_pairing_boundary_homology(s3xs3):
                                         6 - 2 + k + 1)
         expected = brute.boundary_slice_dim(k)
         h = homology(s3xs3, n, k, Mode.BOUNDARY)
-        assert h.dimension == expected, (n, k)
-    assert homology(s3xs3, 2, 1, Mode.BOUNDARY).dimension == 0
+        assert h.dim == expected, (n, k)
+    assert homology(s3xs3, 2, 1, Mode.BOUNDARY).dim == 0
 
 
 def test_diagonal_pairing_boundary_homology(cp2):
     brute = bruteforce.BruteComplex(bruteforce.cp2_model(), 1, 4)
     assert brute.boundary_slice_dim(1) == 1
-    assert homology(cp2, 1, 1, Mode.BOUNDARY).dimension == 1
+    assert homology(cp2, 1, 1, Mode.BOUNDARY).dim == 1
     brute2 = bruteforce.BruteComplex(bruteforce.cp2_model(), 2, 5)
     expected = brute2.boundary_slice_dim(2)
-    assert homology(cp2, 2, 2, Mode.BOUNDARY).dimension == expected
+    assert homology(cp2, 2, 2, Mode.BOUNDARY).dim == expected
 
 
 def test_boundary_mode_with_nonzero_differential(cp3):
@@ -492,12 +492,12 @@ def test_boundary_mode_with_nonzero_differential(cp3):
     for n, k in [(1, 1), (1, 2), (2, 1)]:
         brute = bruteforce.BruteComplex(bruteforce.cp3_model(), n, k + 5)
         expected = brute.boundary_homology_dim(k)
-        got = homology(cp3, n, k, Mode.BOUNDARY).dimension
+        got = homology(cp3, n, k, Mode.BOUNDARY).dim
         assert got == expected, (n, k, got, expected)
     for n, k in [(1, 1), (1, 2), (2, 1)]:
         brute = bruteforce.BruteComplex(bruteforce.cp3_model(), n, k + 5)
         expected = brute.pointed_homology_dim(k)
-        got = homology(cp3, n, k, Mode.POINTED).dimension
+        got = homology(cp3, n, k, Mode.POINTED).dim
         assert got == expected, (n, k, got, expected)
 
 
@@ -643,7 +643,7 @@ def test_block_dimensions_sum_to_the_full_cell(request, name, mode):
     for n in range(1, 5):
         for k in (1, 2):
             assert _compute_cell(model, mode, n, k, False)["dim"] == \
-                homology(model, n, k, mode).dimension, (n, k)
+                homology(model, n, k, mode).dim, (n, k)
 
 
 @pytest.mark.parametrize("name,mode,ks", [
@@ -657,7 +657,7 @@ def test_blocks_vanish_above_the_support_bound(request, name, mode, ks):
         bound = support_bound(model, k)
         above = derivation_basis(model, bound + 1, k, mode, block=True)
         assert above.pointed_dim == 0, k
-        assert homology(model, bound + 1, k, mode, block=True).dimension \
+        assert homology(model, bound + 1, k, mode, block=True).dim \
             == 0, k
 
 

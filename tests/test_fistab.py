@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from derlie.fistab import (
     trace_character,
 )
 from derlie.gradedlie import free_product_generators, omega, relabel_tensor
-from derlie.ratlinalg import SparseMatrix, kernel_basis
+from derlie.ratlinalg import SparseMatrix, add_scaled, kernel_basis
 from derlie.reptheory import decompose, irr_dim, partitions
 
 F = Fraction
@@ -247,7 +248,7 @@ def test_swap_action_trace(sphere2):
 
 def test_boundary_action_preserves_subcomplex(s2xs2):
     # construction would raise ClosureViolation otherwise
-    dim = homology(s2xs2, 2, 1, Mode.BOUNDARY).dimension
+    dim = homology(s2xs2, 2, 1, Mode.BOUNDARY).dim
     assert dim == 20
     for sigma in itertools.permutations(range(2)):
         act = sigma_action(sigma, s2xs2, 1, Mode.BOUNDARY)
@@ -265,7 +266,7 @@ def test_action_homomorphism(sphere2, s2xs2):
             assert compose(sigma_action(sigma, model, 1, mode),
                            sigma_action(tau, model, 1, mode)) == \
                 sigma_action(composed, model, 1, mode)
-        dim = homology(model, n, 1, mode).dimension
+        dim = homology(model, n, 1, mode).dim
         assert sigma_action(tuple(range(n)), model, 1, mode) == \
             identity_matrix(dim)
 
@@ -382,7 +383,7 @@ def test_even_pairing_boundary_decomposition(s3xs3):
     chi = character(s3xs3, 2, 2, Mode.BOUNDARY)
     dec = decompose(chi)
     assert sum(m * irr_dim(lam) for lam, m in dec.items()) == \
-        homology(s3xs3, 2, 2, Mode.BOUNDARY).dimension
+        homology(s3xs3, 2, 2, Mode.BOUNDARY).dim
     assert all(m >= 0 for m in dec.values())
 
 
@@ -457,7 +458,7 @@ def test_nonzero_differential_uses_the_action_matrix(request, monkeypatch,
     chi = character(model, 2, 1, mode)
     assert ("sigma_action", True) in calls
     assert ("homology_map", True) in calls
-    assert chi[(1, 1)] == homology(model, 2, 1, mode).dimension
+    assert chi[(1, 1)] == homology(model, 2, 1, mode).dim
 
 
 def test_differential_that_vanishes_matches_the_plain_model(tmp_path):
@@ -499,7 +500,7 @@ def test_zero_differential_boundary_builds_no_kernel(s2xs2, monkeypatch,
     for n in range(1, 6):
         for k in (1, 2):
             assert _compute_cell(s2xs2, Mode.BOUNDARY, n, k, False)["dim"] \
-                == homology(s2xs2, n, k, Mode.BOUNDARY).dimension
+                == homology(s2xs2, n, k, Mode.BOUNDARY).dim
     assert calls == []
     for n in range(1, 6):
         for k in (1, 2):
@@ -570,6 +571,31 @@ def test_corrupted_trace_is_a_check_failure(monkeypatch):
     assert report["status"] == "check-failure"
     assert report["error"].startswith("NotARepresentation: ")
     assert "(n=3, k=1)" in report["error"]
+
+
+@pytest.mark.parametrize("model_path", ["cp3", "s3xs3-product"])
+def test_non_cycle_image_is_a_check_failure(monkeypatch, cold_caches,
+                                            model_path):
+    # each block image gains a coordinate whose delta_k column is nonzero
+    original = fistab._pushforward
+
+    def corrupted(inj, src, tgt):
+        push = original(inj, src, tgt)
+        delta = differential_matrix(tgt.model, tgt.n, tgt.k, tgt.mode,
+                                    block=True)
+        j = next((j for j, col in enumerate(delta.columns()) if col), None)
+        if j is None:
+            return push
+        return lambda local: add_scaled(push(local), 1, {j: 1})
+
+    monkeypatch.setattr(fistab, "_pushforward", corrupted)
+    report, code = run(JobSpec(model_path=model_path, mode=Mode.POINTED,
+                               k_values=(1, 2), n_values=(1, 2, 3),
+                               decompose=True))
+    assert code == EXIT_CHECK_FAILURE
+    assert report["status"] == "check-failure"
+    assert re.fullmatch(r"NotAChainMap: image of a representative is not a "
+                        r"cycle at \(n=2->2, k=[12]\)", report["error"])
 
 
 def test_zero_differential_characters_act_on_nothing(monkeypatch,

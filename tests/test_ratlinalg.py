@@ -175,6 +175,7 @@ def test_quotient_by_zero_is_identity():
     assert q.dim == 1
     assert q.representatives == cycles.vectors
     assert q.reduce({0: F(3), 2: F(3)}) == {0: F(3)}
+    assert q.reduce({0: F(1)}) is None  # not a cycle
 
 
 def test_quotient_of_plane_by_diagonal():

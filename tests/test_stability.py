@@ -134,7 +134,7 @@ def test_generation_flags_match_the_full_orbit_span(request, name, mode, k):
     model = request.getfixturevalue(name)
     expected = {1: False}
     for m in range(2, 5):
-        dim = homology(model, m, k, mode).dimension
+        dim = homology(model, m, k, mode).dim
         image = homology_map(Injection.standard(m - 1, m), model, k, mode)
         orbit = [col for sigma in permutations(range(m))
                  for col in compose(sigma_action(sigma, model, k, mode),
@@ -344,7 +344,7 @@ def test_random_zero_differential_models_match_both_oracles(model_data,
             omega_degree = d - 2 + k if mode is Mode.BOUNDARY else None
             oracle = lie_character.character(degrees, n, k, omega_degree)
             assert character(model, n, k, mode) == oracle, (mode, k)
-            dim = homology(model, n, k, mode).dimension
+            dim = homology(model, n, k, mode).dim
             assert dim == oracle[(1,) * n], (mode, k)
             top = max(degrees) + k if omega_degree is None else omega_degree
             if mode is Mode.BOUNDARY:
