@@ -49,6 +49,7 @@ from .dermodel import (
     DerSlice,
     Mode,
     _require_boundary_data,
+    der_trace,
     derivation_basis,
     generation_flags,
     homology,
@@ -60,7 +61,6 @@ from .gradedlie import (
     TensorVector,
     apply_values_tensor,
     free_product_generators,
-    lie_dim,
     omega,
     pbw_series_check,
     validate_model,
@@ -485,15 +485,19 @@ def _cache_write(cache_dir: str | None, key: str, cell: dict) -> None:
 
 def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
                   decompose: bool) -> dict:
-    # H_k(n) is the sum over s of C(n, s) copies of the block W_s(k)
-    dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dim
-              for s in range(1, min(n, support_bound(model, k)) + 1))
+    zero_d = free_product_generators(model, 1).has_zero_differential
+    if zero_d:  # H_k = Der_k, counted
+        dim = der_trace(model, (1,) * n, k, mode)
+    else:  # the sum over s of C(n, s) copies of the block W_s(k)
+        dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dim
+                  for s in range(1, min(n, support_bound(model, k)) + 1))
     cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
         from . import reptheory
-        from .fistab import character, trace_character
-        zero_d = free_product_generators(model, 1).has_zero_differential
-        chi = (trace_character if zero_d else character)(model, n, k, mode)
+        from .fistab import character
+        chi = {mu: der_trace(model, mu, k, mode)
+               for mu in reptheory.partitions(n)} if zero_d else \
+            character(model, n, k, mode)
         if chi[(1,) * n] != dim:
             raise reptheory.NotARepresentation(
                 f"the character is {chi[(1,) * n]} at the identity of cell "
@@ -571,32 +575,24 @@ def _is_partition(text: str, n: int | None = None) -> bool:
 
 def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
                     full: bool = False) -> int:
-    """Largest pointed dimension of the slices the cell builds at one
+    """Largest pointed dimension of the slices the cell lists at one
     arity, or of the omega target of its top degree in boundary mode.  A
     cell is built from blocks, each filtered from the slices at its arity
     s <= support_bound; a full cell, which the consistency check builds, is
-    priced at n.  Degree k is always built, degree k + 1 only for a nonzero
-    differential and a nonempty degree-k block (or full slice), which is
-    counted from Lie dimensions."""
-    def pointed(j, kk):
-        genset = free_product_generators(model, j)
-        return sum(lie_dim(genset, d + kk) for d in genset.degrees)
-
-    def target(j, kk):
-        if mode is Mode.POINTED:
-            return 0
-        return lie_dim(free_product_generators(model, j),
-                       model.ambient_dim - 2 + kk)
-
-    def slice_dim(j):
-        return pointed(j, k) - target(j, k)
-
+    priced at n.  A zero-differential cell lists nothing and its full cell
+    degree k; otherwise degree k + 1 is listed too unless the degree-k
+    block (or full slice), counted by ``der_trace``, is empty."""
     zero_d = free_product_generators(model, 1).has_zero_differential
+    if zero_d and not full:
+        return 0
     cost = 0
     for s in ((n,) if full else range(1, min(n, support_bound(model, k)) + 1)):
-        top = k if zero_d or not support_sum(s, slice_dim, not full) else k + 1
-        cost = max(cost, target(s, top),
-                   sum(pointed(s, kk) for kk in range(k, top + 1)))
+        top = k if zero_d or not support_sum(s, lambda j: der_trace(
+            model, (1,) * j, k, mode), not full) else k + 1
+        pointed = [der_trace(model, (1,) * s, kk, Mode.POINTED)
+                   for kk in range(k, top + 1)]
+        target = pointed[-1] - der_trace(model, (1,) * s, top, mode)
+        cost = max(cost, target, sum(pointed))
     return cost
 
 

@@ -17,9 +17,10 @@ selected by ``Mode``:
 The differential is theta -> d o theta - (-1)^k theta o d.  Homology in
 degree k is ker(delta_k)/im(delta_{k+1}); for k = 1 the kernel is taken
 into the materialized degree-0 slice, which implements the positive
-truncation.  When the model's differential is zero, delta = 0 and H_k is
-the degree-k slice, and when that slice is empty H_k = 0: in both cases
-the degree-(k+1) slice is never built.
+truncation.  When the model's differential is zero, delta = 0 and H_k =
+Der_k, whose dimensions and characters a job counts (``der_trace``): its
+slices are listed only for the FI maps and the checks on full cells.
+Then, or when the degree-k slice is empty, no degree-(k+1) slice is built.
 
 The support of a pointed coordinate (g -> e), the summands of g and of e's
 letters, is kept by delta and by theta -> theta(omega) = c [e, g^#].  So a
@@ -45,7 +46,7 @@ from .gradedlie import (
     ModelSpec,
     apply_values_tensor,
     free_product_generators,
-    lie_dim,
+    lie_trace,
     lyndon_basis,
     omega,
 )
@@ -70,8 +71,8 @@ class DerSlice:
     and exact coordinates.  A boundary slice is the kernel of
     theta -> theta(omega): theta = (g -> e) sends omega to [e, g^#] up to a
     nonzero scalar, so the image is [L, V] = L_{d-2+k} (every generator has
-    degree <= d-3) and the kernel has dimension pointed_dim - dim L_{d-2+k};
-    a block subtracts the part of L_{d-2+k} that uses every summand."""
+    degree <= d-3) and the kernel's dimension is counted by ``der_trace``;
+    a block's is the full-support part of that count."""
 
     def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
                  genset: GeneratorSet,
@@ -83,11 +84,8 @@ class DerSlice:
         self.genset = genset
         self.coords = coords
         self.coord_index = {c: i for i, c in enumerate(coords)}
-        self.dim = len(coords)
-        if mode is Mode.BOUNDARY:
-            degree = model.ambient_dim - 2 + k
-            self.dim -= support_sum(n, lambda j: lie_dim(
-                free_product_generators(model, j), degree), block)
+        self.dim = len(coords) if mode is Mode.POINTED else support_sum(
+            n, lambda j: der_trace(model, (1,) * j, k, mode), block)
 
     @property
     def pointed_dim(self) -> int:
@@ -158,6 +156,18 @@ def support_sum(n: int, dim_at: Callable[[int], int], block: bool) -> int:
     (the support-S part at arity n is the block at arity |S|)."""
     return sum((-1) ** (n - j) * comb(n, j) * dim_at(j)
                for j in (range(1, n + 1) if block else (n,)))
+
+
+def der_trace(model: ModelSpec, mu: tuple, k: int, mode: Mode) -> int:
+    """Trace of a summand permutation of cycle type mu on Der_k, the sum over
+    generators g of V_g^dual x L_{|g|+k}: fix(mu) sum_g l_{|g|+k}(mu), less
+    l_{d-2+k}(mu) (the image of theta -> theta(omega)) in boundary mode.  At
+    the identity it is the dimension."""
+    degrees = tuple(d for _, d in model.generators)
+    value = mu.count(1) * sum(lie_trace(degrees, mu, d + k) for d in degrees)
+    if mode is Mode.BOUNDARY:
+        value -= lie_trace(degrees, mu, model.ambient_dim - 2 + k)
+    return value
 
 
 def support_bound(model: ModelSpec, k: int) -> int:
@@ -296,11 +306,16 @@ def generation_flags(model: ModelSpec, mode: Mode, k: int, n_values
     Any injection from a smaller arity factors as a permutation composed
     with the standard inclusion from m-1, so that orbit is the span of the
     support parts W_S with S != [m]: H_k(m) is generated from below iff its
-    block W_m(k) is zero, as it is above ``support_bound``.  The first arity
-    has nothing below it, and its flag is False by convention.
+    block W_m(k) is zero, as it is above ``support_bound``; for a zero
+    differential the block is counted.  The first arity has nothing below
+    it, and its flag is False by convention.
     """
-    ns = sorted(n_values)
+    def block_dim(m: int) -> int:
+        if free_product_generators(model, 1).has_zero_differential:
+            return support_sum(m, lambda j: der_trace(model, (1,) * j, k,
+                                                      mode), True)
+        return homology(model, m, k, mode, block=True).dim
+
     bound = support_bound(model, k)
-    return {m: i > 0 and (m > bound or not homology(
-                model, m, k, mode, block=True).dim)
-            for i, m in enumerate(ns)}
+    return {m: i > 0 and (m > bound or not block_dim(m))
+            for i, m in enumerate(sorted(n_values))}

@@ -1,9 +1,9 @@
 """Injections between summand sets, the maps they induce on derivation
 slices and homology, symmetric-group actions, characters, and the
 consistency check for stabilized images.  Characters act on the blocks
-of ``dermodel`` only, or for a zero differential act on nothing
-(``trace_character``); the full cells serve the consistency check and the
-FI maps.
+of ``dermodel`` only; a zero differential needs no action, its character
+being ``dermodel.der_trace`` at each cycle type (``cli._compute_cell``).
+The full cells serve the consistency check and the FI maps.
 
 An injection acts on a derivation by extension by zero: the relabeled
 derivation takes the conjugated value on summands in the image and vanishes
@@ -25,7 +25,7 @@ from math import comb, prod
 from . import reptheory
 from .dermodel import (DerSlice, Mode, _flag, derivation_basis, homology,
                        push_local, support_bound)
-from .gradedlie import ModelSpec, lie_trace, relabel_basis_element
+from .gradedlie import ModelSpec, relabel_basis_element
 from .ratlinalg import CheckFailure, SparseMatrix, Vector
 
 
@@ -180,20 +180,4 @@ def character(model: ModelSpec, n: int, k: int, mode: Mode = Mode.POINTED
         m = Counter(mu)
         values[mu] = sum(prod(comb(m[part], c) for part, c in nu) * chi
                          for nu, chi in blocks)
-    return values
-
-
-def trace_character(model: ModelSpec, n: int, k: int, mode: Mode = Mode.POINTED
-                    ) -> dict[reptheory.Partition, int]:
-    """character for a zero differential, where H_k = Der_k is the sum over
-    generators g of V_g^dual x L_{|g|+k}, and in boundary mode the
-    equivariant onto map theta -> theta(omega) takes away L_{d-2+k}: a
-    closed form of lie_trace values, with no slice, action or kernel."""
-    degrees = tuple(d for _, d in model.generators)
-    values = {}
-    for mu in reptheory.partitions(n):
-        values[mu] = mu.count(1) * sum(lie_trace(degrees, mu, d + k)
-                                       for d in degrees)
-        if mode is Mode.BOUNDARY:
-            values[mu] -= lie_trace(degrees, mu, model.ambient_dim - 2 + k)
     return values

@@ -2,7 +2,9 @@
 and matrices, rank, sums and brackets of Lie elements, generator elements
 and their differentials, the matrix of an injection on derivation slices,
 the derivation-object route, the orbit-span route to the generation flags,
-the character route to the padded rows, and the tensor route to omega_n.
+the character route to the padded rows, the tensor route to omega_n, the
+closed-form character of a zero differential, and the block route to the
+dimensions of its cells.
 
 Lie elements are dicts in Lyndon coordinates (``gradedlie.LieVector``).  The
 derivation-object route (``Derivation``, ``apply_derivation``,
@@ -16,7 +18,10 @@ are built from derlie's own layers."""
 
 from fractions import Fraction
 
-from derlie.dermodel import DerSlice, Mode, derivation_basis, homology
+from math import comb
+
+from derlie.dermodel import (DerSlice, Mode, der_trace, derivation_basis,
+                             homology, support_bound)
 from derlie.fistab import (Injection, _pushforward, character, homology_map,
                            sigma_action)
 from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
@@ -26,7 +31,7 @@ from derlie.gradedlie import (GeneratorSet, LieBasisElement, LieVector,
                               tensor_commutator)
 from derlie.ratlinalg import (SparseMatrix, _echelon, add_scaled,
                               extend_echelon)
-from derlie.reptheory import decompose, irr_dim
+from derlie.reptheory import decompose, irr_dim, partitions
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
@@ -232,3 +237,18 @@ def omega_by_tensor(model, n: int) -> LieVector:
         assert relabel_element(genset, genset, swap, elem) == elem, \
             f"omega_{n} not invariant under ({t + 1},{t + 2})"
     return elem
+
+
+def trace_character(model, n: int, k: int, mode: Mode = Mode.POINTED
+                    ) -> dict[tuple[int, ...], int]:
+    """The character a report gives a zero-differential cell: ``der_trace``
+    at each cycle type, with no slice, action or kernel."""
+    return {mu: der_trace(model, mu, k, mode) for mu in partitions(n)}
+
+
+def listed_cell_dim(model, n: int, k: int, mode: Mode = Mode.POINTED) -> int:
+    """dim H_k(n) as the sum over s of C(n, s) dim W_s(k), each block's
+    homology built from its listed slices: the route to a cell's dimension
+    that a zero differential's count replaced."""
+    return sum(comb(n, s) * homology(model, s, k, mode, block=True).dim
+               for s in range(1, min(n, support_bound(model, k)) + 1))

@@ -380,8 +380,11 @@ def test_numbers_in_the_grammar_parse():
 
 MUTATIONS = ("drop", "duplicate", "swap", "splice", "insert")
 # separators and digits that the grammar refuses or reads, letters outside
-# ASCII, and a digit run that makes a degree or a coefficient large
-INSERTS = (*"_+\u00b2\u0661\u00e9\u03bb\u0416", "000")
+# ASCII, a digit run that makes a degree or a coefficient large, and whole
+# generator lines: one edit gives a valid model with a degree-99 generator,
+# which a zero differential counts, or a degree above the bound (exit 2)
+INSERTS = (*"_+\u00b2\u0661\u00e9\u03bb\u0416", "000", "\n  z: 99",
+           "\n  z: 1000")
 
 
 @st.composite
@@ -554,8 +557,8 @@ def test_cli_boundary_without_pairing_is_one_error_line(capsys):
 
 def test_wrong_boundary_count_is_a_check_failure(monkeypatch, cold_caches):
     from derlie import dermodel
-    from derlie.gradedlie import lie_dim
-    monkeypatch.setattr(dermodel, "lie_dim", lambda *a: lie_dim(*a) - 1)
+    der_trace = dermodel.der_trace
+    monkeypatch.setattr(dermodel, "der_trace", lambda *a: der_trace(*a) + 1)
     report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
                            k_values=(1,), n_values=(1, 2, 3),
                            check_consistency=True))
@@ -595,24 +598,22 @@ def largest_listed(monkeypatch, spec) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(dermodel, "derivation_basis", spy)
         assert run(spec)[1] == EXIT_OK
-    return max(sum(real(model, n, kk).pointed_dim for kk in (k, k + 1)
-                   if (model, n, kk) in seen) for model, n, _ in seen)
+    return max((sum(real(model, n, kk).pointed_dim for kk in (k, k + 1)
+                    if (model, n, kk) in seen) for model, n, _ in seen),
+               default=0)
 
 
 def test_cost_guard_counts_only_built_slices(monkeypatch):
-    # zero differential: only degree k is built (dim 6; degree k + 1 was
-    # counted before, predicting 10)
-    report, code = run(job(k_values=(1,), n_values=(2,), max_dim=8))
+    # zero differential: a cell is counted and lists no slice, so its price
+    # is 0 (the n = 5 cell has dimension 75)
+    assert _predicted_cost(load_model("sphere2"), 5, 1, Mode.POINTED) == 0
+    report, code = run(job(k_values=(1,), n_values=(2, 5), max_dim=1))
     assert code == EXIT_OK
-    assert report["cells"][0]["dim"] == 6
-    # a cell is built from blocks of arity at most support_bound (3 for
-    # sphere2 at k = 1): the n = 5 cell of dimension 75 builds no slice
-    # larger than the arity-3 one of dimension 18
-    report, code = run(job(k_values=(1,), n_values=(5,), max_dim=18))
-    assert code == EXIT_OK
-    assert report["cells"][0]["dim"] == 75
-    # the consistency check builds the full cells; the generation flags
-    # read the blocks the cells are built from
+    assert [c["dim"] for c in report["cells"]] == [6, 75]
+    assert largest_listed(monkeypatch, job(k_values=(1,),
+                                           n_values=(2, 5))) == 0
+    # the consistency check builds the full cells, of degree k only; the
+    # generation flags are counted like the cells
     report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
                            check_consistency=True))
     assert code == EXIT_RESOURCE_CAP
@@ -656,7 +657,8 @@ def test_cost_guard_counts_only_built_slices(monkeypatch):
                n_values=(1,))
     assert _predicted_cost(load_model("cp3"), 1, 2, Mode.BOUNDARY) == 2
     assert largest_listed(monkeypatch, spec) == 2
-    # the price is never below what a job lists
+    # the price is never below what a job lists; the bracket-closure
+    # sample of a boundary job lists a full slice, priced as one
     for kw in (dict(k_values=(1,), n_values=(5,)),
                dict(model_path="s3xs3-product", k_values=(1,),
                     n_values=(2, 3), check_consistency=True),
@@ -667,17 +669,18 @@ def test_cost_guard_counts_only_built_slices(monkeypatch):
                dict(model_path="cp3", mode=Mode.BOUNDARY, k_values=(2,),
                     n_values=(1, 2, 3), decompose=True)):
         spec = job(**kw)
-        full = spec.check_consistency
+        full = spec.check_consistency or spec.mode is Mode.BOUNDARY
         price = max(_predicted_cost(load_model(spec.model_path), n,
-                                    spec.k_values[0], spec.mode, full)
-                    for n in spec.n_values)
+                                    spec.k_values[0], spec.mode, f)
+                    for n in spec.n_values for f in {full, False})
         assert largest_listed(monkeypatch, spec) <= price, kw
 
 
 def test_cost_guard_prices_exactly_what_the_engine_lists(monkeypatch):
     # the price of a cell is the largest, over the arities it lists, of the
     # pointed dimensions of its listed degrees k and above, counted from Lie
-    # dimensions: a cell lists blocks, the consistency check full cells
+    # dimensions: a cell lists blocks, the consistency check full cells, and
+    # a zero-differential cell lists nothing, at price 0
     from derlie import dermodel
     from derlie.cli import _compute_cell
     real, listed = dermodel.derivation_basis, set()
@@ -707,9 +710,10 @@ def test_cost_guard_prices_exactly_what_the_engine_lists(monkeypatch):
                 else:
                     _compute_cell(model, mode, n, k, False)
                 assert price == max(
-                    sum(pointed(model, j, kk) for j, kk in listed
-                        if j == arity and kk >= k)
-                    for arity, _ in listed), (name, mode, k, n, full)
+                    (sum(pointed(model, j, kk) for j, kk in listed
+                         if j == arity and kk >= k)
+                     for arity, _ in listed), default=0), \
+                    (name, mode, k, n, full)
                 cases += 1
     assert cases == 356
 
@@ -724,6 +728,36 @@ def test_cost_guard_ignores_unreachable_degrees():
     cells = [_compute_cell(model, Mode.POINTED, n, 1, False) for n in (1, 2)]
     assert time.process_time() - start < 0.5
     assert [c["dim"] for c in cells] == [0, 0]
+
+
+def test_zero_differential_job_lists_no_lyndon_word(monkeypatch,
+                                                    cold_caches):
+    # cells, characters and generation flags are counted; a boundary job
+    # lists only its bracket-closure sample, at n = 1
+    arities = []
+    real = GeneratorSet._lyndon_words
+
+    def spy(genset, degree):
+        arities.append(genset.arity)
+        return real(genset, degree)
+
+    monkeypatch.setattr(GeneratorSet, "_lyndon_words", spy)
+    report, code = run(job(k_values=(1, 2, 3), n_values=tuple(range(1, 9)),
+                           decompose=True, check_generation=True))
+    assert code == EXIT_OK and arities == []
+    report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
+                           k_values=(1,), n_values=(1, 2, 3, 4, 5)))
+    assert code == EXIT_OK
+    assert report["checks"][-1]["detail"] == "5 sampled pairs at n=1, k=1"
+    assert arities and set(arities) == {1}
+    # nothing is priced but the character: k = 8 was refused at this
+    # max-dim, and k = 100 is counted up to n = 100
+    assert run(job(k_values=(8,), n_values=tuple(range(1, 13)),
+                   decompose=True, max_dim=10**8))[1] == EXIT_OK
+    start = time.process_time()
+    report, code = run(job(k_values=(100,), n_values=tuple(range(1, 101))))
+    assert time.process_time() - start < 1
+    assert code == EXIT_OK and len(report["cells"]) == 100
 
 
 def test_cache_dir_that_is_a_file_is_rejected_first(tmp_path, monkeypatch):
@@ -827,7 +861,7 @@ def _isolated_job(argv, out):
 @pytest.mark.parametrize("model_path", ["sphere2", "s3xs3-product"])
 def test_generation_check_builds_only_blocks(monkeypatch, model_path):
     # every homology or slice the job asks for, through any module's
-    # binding, is a full-support block
+    # binding, is a full-support block; a zero differential asks for none
     from derlie import cli as climod, dermodel, fistab
     calls = []
     for name in ("homology", "derivation_basis"):
@@ -842,7 +876,7 @@ def test_generation_check_builds_only_blocks(monkeypatch, model_path):
                            check_generation=True))
     assert code == EXIT_OK
     assert any(c["name"] == "generation" for c in report["checks"])
-    assert calls
+    assert bool(calls) == (model_path == "s3xs3-product")
     assert [c for c in calls if not c[3]] == []
 
 
@@ -912,10 +946,12 @@ def test_digests_match_hashlib(name):
 
 
 def test_run_resource_cap():
-    report, code = run(job(max_dim=2))
+    report, code = run(job(model_path="s3xs3-product", max_dim=2))
     assert code == EXIT_RESOURCE_CAP
     assert report["status"] == "resource-cap"
     assert "too large" in report["error"]
+    # zero-differential cells are counted, and list nothing to cap
+    assert run(job(max_dim=1))[1] == EXIT_OK
 
 
 def test_cli_usage_error_k_zero(capsys):
@@ -941,8 +977,10 @@ def test_cli_models_listing(capsys):
 # Edge values for every option that takes a number or a range.
 EDGE_VALUES = ("0", "-1", "100", "101", str(10**6 + 1), "3..1", "1..", "",
                "1.." + str(10**6 + 1))
-# k or n = 100 is refused by the guard before any cell runs: on these models
-# every cell at k = 100, or at n = 100 with k <= 3, prices above 101
+# k or n = 100 is refused by the guard before any cell runs on the models
+# with a differential, whose every cell at k = 100, or at n = 100 with
+# k <= 3, prices above 101; s2xs2 counts its cells, so there only the
+# consistency check's full cells and a character at n = 100 are refused
 ARGV_MODELS = ("s2xs2", "cp3", "s3xs3-product")
 
 

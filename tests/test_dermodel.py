@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,17 +7,23 @@ import pytest
 import bruteforce
 from helpers import (Derivation, apply_derivation, basis_derivation, bracket,
                      compose, derivation_bracket, differential_of,
-                     generator_element, plus, pointed_to_derivation, rank)
+                     generator_element, listed_cell_dim, plus,
+                     pointed_to_derivation, rank)
 from derlie import dermodel
+from derlie.cli import _compute_cell, bundled_model_names, load_model
 from derlie.dermodel import (
     Mode,
+    der_trace,
     derivation_basis,
     differential_matrix,
+    generation_flags,
     homology,
     push_local,
     support_bound,
+    support_sum,
 )
 from derlie.gradedlie import (
+    ModelSpec,
     apply_differential,
     free_product_generators,
     lie_dim,
@@ -659,6 +666,43 @@ def test_blocks_vanish_above_the_support_bound(request, name, mode, ks):
         assert above.pointed_dim == 0, k
         assert homology(model, bound + 1, k, mode, block=True).dim \
             == 0, k
+
+
+# A zero differential whose (4, 2) block is empty although the support
+# bound at k = 2 is 4: every value e has two letters (two a's, or a and b),
+# so no support exceeds 3, and a generation flag read from the full cell
+# instead of the block would differ at n = 4.
+GAPPED = ModelSpec("gapped", [("a", 2), ("b", 5)])
+
+
+@pytest.mark.parametrize("name", [*bundled_model_names(), GAPPED.name])
+def test_counted_dimensions_match_the_listing(name):
+    # der_trace at the identity, split by support, against the listed
+    # coordinates and, in boundary mode, the omega constraint kernel built
+    # on them; a zero differential's cells and generation flags, which are
+    # counted, against the block route they replaced
+    model = GAPPED if name == GAPPED.name else load_model(name)
+    ns, ks = range(1, 6), (1, 2, 3)
+    for mode in [Mode.POINTED] + [Mode.BOUNDARY] * model.has_pairing:
+        for k, n, block in itertools.product(ks, ns, (True, False)):
+            sl = derivation_basis(model, n, k, mode, block=block)
+
+            def count(m):
+                return support_sum(n, lambda j: der_trace(model, (1,) * j, k,
+                                                          m), block)
+
+            assert count(Mode.POINTED) == len(sl.coords), (mode, k, n, block)
+            if mode is Mode.BOUNDARY:
+                assert count(mode) == len(sl.basis.vectors), (k, n, block)
+        if not free_product_generators(model, 1).has_zero_differential:
+            continue
+        for k in ks:
+            assert [_compute_cell(model, mode, n, k, False)["dim"]
+                    for n in ns] == [listed_cell_dim(model, n, k, mode)
+                                     for n in ns], (mode, k)
+            assert generation_flags(model, mode, k, ns) == {
+                m: m > 1 and (m > support_bound(model, k) or not homology(
+                    model, m, k, mode, block=True).dim) for m in ns}, (mode, k)
 
 
 def test_dimensions_build_no_full_differential(monkeypatch, cold_caches):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from helpers import (bracket, differential_of, generator_element,
-                     omega_by_tensor, plus, scale)
+                     omega_by_tensor, plus, scale, trace_character)
 from derlie.cli import bundled_model_names, load_model
 from derlie.gradedlie import (
     GeneratorSet,
@@ -639,7 +639,7 @@ def test_sign_flip_of_omega_does_not_change_kernels(s2xs2):
 
 def test_lie_traces_run_once_per_alphabet_cycle_type_and_degree(
         monkeypatch, cold_caches):
-    from derlie import fistab, gradedlie
+    from derlie import dermodel, gradedlie
     asked = []
     real = gradedlie.lie_trace
 
@@ -647,7 +647,7 @@ def test_lie_traces_run_once_per_alphabet_cycle_type_and_degree(
         asked.append((degrees, mu, m))
         return real(degrees, mu, m)
 
-    for module in (gradedlie, fistab):
+    for module in (gradedlie, dermodel):  # dermodel.der_trace calls it
         monkeypatch.setattr(module, "lie_trace", spy)
     model = ModelSpec("two", [("a", 1), ("b", 2)])
     twin = ModelSpec("twin", [("c", 1), ("d", 2)])  # the same degrees
@@ -662,7 +662,7 @@ def test_lie_traces_run_once_per_alphabet_cycle_type_and_degree(
     assert real.cache_info().misses == 3 * 7
     for _ in range(2):
         for m in (model, twin):
-            fistab.trace_character(m, 4, 2)
+            trace_character(m, 4, 2)
     assert real.cache_info().misses == len(set(asked)) > 3 * 7
     # the coefficients [q^m] h^r depend on the degrees and m only: one
     # alphabet, degrees 0..6, whatever the arity and cycle type

@@ -16,11 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 import bruteforce
 import lie_character
 from helpers import (compose, generation_by_orbit, rank,
-                     stability_by_characters)
+                     stability_by_characters, trace_character)
 from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
 from derlie.dermodel import Mode, derivation_basis, generation_flags, homology
-from derlie.fistab import (Injection, character, homology_map, sigma_action,
-                           trace_character)
+from derlie.fistab import Injection, character, homology_map, sigma_action
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
 from derlie.ratlinalg import SparseMatrix
 from derlie.reptheory import decompose, stability_report
@@ -219,7 +218,7 @@ def test_engine_characters_match_closed_form(request, name, mode, n_max):
             if mode is Mode.BOUNDARY else None
         for n in range(1, n_max + 1):
             # the block actions check the engine's closed form; the oracle
-            # rests on the same theorem as trace_character
+            # rests on the same theorem as dermodel.der_trace
             chi = character(model, n, k, mode)
             assert trace_character(model, n, k, mode) == chi, (n, k)
             assert chi == lie_character.character(degrees, n, k,
