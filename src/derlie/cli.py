@@ -49,12 +49,12 @@ from .dermodel import (
     DerSlice,
     Mode,
     _require_boundary_data,
+    der_dim,
     der_trace,
     derivation_basis,
     generation_flags,
     homology,
     support_bound,
-    support_sum,
 )
 from .gradedlie import (
     ModelSpec,
@@ -487,21 +487,19 @@ def _compute_cell(model: ModelSpec, mode: Mode, n: int, k: int,
                   decompose: bool) -> dict:
     zero_d = free_product_generators(model, 1).has_zero_differential
     if zero_d:  # H_k = Der_k, counted
-        dim = der_trace(model, (1,) * n, k, mode)
+        dim = der_dim(model, n, k, mode)
     else:  # the sum over s of C(n, s) copies of the block W_s(k)
         dim = sum(comb(n, s) * homology(model, s, k, mode, block=True).dim
                   for s in range(1, min(n, support_bound(model, k)) + 1))
     cell = {"mode": mode.value, "n": n, "k": k, "dim": dim}
     if decompose:
         from . import reptheory
-        from .fistab import character
-        chi = {mu: der_trace(model, mu, k, mode)
-               for mu in reptheory.partitions(n)} if zero_d else \
-            character(model, n, k, mode)
-        if chi[(1,) * n] != dim:
-            raise reptheory.NotARepresentation(
-                f"the character is {chi[(1,) * n]} at the identity of cell "
-                f"(n={n}, k={k}) of dimension {dim}")
+        if zero_d:
+            chi = {mu: der_trace(model, mu, k, mode)
+                   for mu in reptheory.partitions(n)}
+        else:
+            from .fistab import character
+            chi = character(model, n, k, mode)
         dec = reptheory.decompose(chi)
         by_partition = lambda kv: _partition_sort_key(kv[0])
         cell["character"] = {
@@ -581,17 +579,17 @@ def _predicted_cost(model: ModelSpec, n: int, k: int, mode: Mode,
     s <= support_bound; a full cell, which the consistency check builds, is
     priced at n.  A zero-differential cell lists nothing and its full cell
     degree k; otherwise degree k + 1 is listed too unless the degree-k
-    block (or full slice), counted by ``der_trace``, is empty."""
+    block (or full slice), counted by ``der_dim``, is empty."""
     zero_d = free_product_generators(model, 1).has_zero_differential
     if zero_d and not full:
         return 0
     cost = 0
     for s in ((n,) if full else range(1, min(n, support_bound(model, k)) + 1)):
-        top = k if zero_d or not support_sum(s, lambda j: der_trace(
-            model, (1,) * j, k, mode), not full) else k + 1
-        pointed = [der_trace(model, (1,) * s, kk, Mode.POINTED)
+        top = k if zero_d or not der_dim(model, s, k, mode, not full) \
+            else k + 1
+        pointed = [der_dim(model, s, kk, Mode.POINTED)
                    for kk in range(k, top + 1)]
-        target = pointed[-1] - der_trace(model, (1,) * s, top, mode)
+        target = pointed[-1] - der_dim(model, s, top, mode)
         cost = max(cost, target, sum(pointed))
     return cost
 
@@ -757,21 +755,16 @@ def run(job: JobSpec) -> tuple[dict, int]:
                 EXIT_VALIDATION
 
     cells = []
-    pending = []
-    for k in job.k_values:
-        for n in job.n_values:
-            key = _cell_key(model_sha, job.mode, n, k, job.decompose)
-            cached = _cache_read(job.cache_dir, key)
-            if _is_cell(cached, job.mode, n, k, job.decompose):
-                cells.append(cached)
-            else:
-                pending.append((n, k, key))
-
     try:
-        for n, k, key in pending:
-            cell = _compute_cell(model, job.mode, n, k, job.decompose)
-            _cache_write(job.cache_dir, key, cell)
-            cells.append(cell)
+        for k in job.k_values:
+            for n in job.n_values:
+                key = _cell_key(model_sha, job.mode, n, k, job.decompose)
+                cell = _cache_read(job.cache_dir, key)
+                if not _is_cell(cell, job.mode, n, k, job.decompose):
+                    cell = _compute_cell(model, job.mode, n, k,
+                                         job.decompose)
+                    _cache_write(job.cache_dir, key, cell)
+                cells.append(cell)
         checks, stability = _run_checks(model, job, cells)
     except CheckFailure as exc:
         return _report(job, "check-failure", ident,
@@ -851,7 +844,6 @@ def _render_table(report: dict) -> str:
         lines.append(f"[k={k}]")
         columns: list = []
         if any("padded" in c for c in block):
-            from .reptheory import PaddingInvalid, pad
             names = set()
             for c in block:
                 names.update(partition_from_str(s) for s in c.get("padded",
@@ -863,12 +855,9 @@ def _render_table(report: dict) -> str:
             row = [str(c["n"]), str(c["dim"])]
             padded = {partition_from_str(s): v
                       for s, v in c.get("padded", {}).items()}
-            for name in columns:
-                try:
-                    pad(name, c["n"])
-                    row.append(str(padded.get(name, 0)))
-                except PaddingInvalid:
-                    row.append(".")
+            for name in columns:  # "." where (n - |p|, p) is no partition
+                row.append("." if name and c["n"] - sum(name) < name[0]
+                           else str(padded.get(name, 0)))
             rows.append(row)
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
         for r in rows:

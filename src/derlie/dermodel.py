@@ -71,8 +71,7 @@ class DerSlice:
     and exact coordinates.  A boundary slice is the kernel of
     theta -> theta(omega): theta = (g -> e) sends omega to [e, g^#] up to a
     nonzero scalar, so the image is [L, V] = L_{d-2+k} (every generator has
-    degree <= d-3) and the kernel's dimension is counted by ``der_trace``;
-    a block's is the full-support part of that count."""
+    degree <= d-3) and the kernel's dimension is counted by ``der_dim``."""
 
     def __init__(self, model: ModelSpec, n: int, k: int, mode: Mode,
                  genset: GeneratorSet,
@@ -84,8 +83,8 @@ class DerSlice:
         self.genset = genset
         self.coords = coords
         self.coord_index = {c: i for i, c in enumerate(coords)}
-        self.dim = len(coords) if mode is Mode.POINTED else support_sum(
-            n, lambda j: der_trace(model, (1,) * j, k, mode), block)
+        self.dim = len(coords) if mode is Mode.POINTED else der_dim(
+            model, n, k, mode, block)
 
     @property
     def pointed_dim(self) -> int:
@@ -151,13 +150,6 @@ def _flag(block: bool) -> dict:
     return {"block": True} if block else {}
 
 
-def support_sum(n: int, dim_at: Callable[[int], int], block: bool) -> int:
-    """dim_at(n), or with block its full-support part, by inclusion-exclusion
-    (the support-S part at arity n is the block at arity |S|)."""
-    return sum((-1) ** (n - j) * comb(n, j) * dim_at(j)
-               for j in (range(1, n + 1) if block else (n,)))
-
-
 def der_trace(model: ModelSpec, mu: tuple, k: int, mode: Mode) -> int:
     """Trace of a summand permutation of cycle type mu on Der_k, the sum over
     generators g of V_g^dual x L_{|g|+k}: fix(mu) sum_g l_{|g|+k}(mu), less
@@ -168,6 +160,16 @@ def der_trace(model: ModelSpec, mu: tuple, k: int, mode: Mode) -> int:
     if mode is Mode.BOUNDARY:
         value -= lie_trace(degrees, mu, model.ambient_dim - 2 + k)
     return value
+
+
+def der_dim(model: ModelSpec, n: int, k: int, mode: Mode,
+            block: bool = False) -> int:
+    """Dimension of Der_k at arity n, ``der_trace`` at the identity; with
+    block, its full-support part, by inclusion-exclusion (the support-S
+    part at arity n is the block at arity |S|)."""
+    return sum((-1) ** (n - j) * comb(n, j)
+               * der_trace(model, (1,) * j, k, mode)
+               for j in (range(1, n + 1) if block else (n,)))
 
 
 def support_bound(model: ModelSpec, k: int) -> int:
@@ -300,22 +302,21 @@ def homology(model: ModelSpec, n: int, k: int,
 
 def generation_flags(model: ModelSpec, mode: Mode, k: int, n_values
                      ) -> dict[int, bool]:
-    """For each arity m in the range beyond the first: is H_k(m) spanned by
-    the symmetric-group orbit of the image of the maps from lower arities?
+    """For each arity m in the range: is H_k(m) spanned by the
+    symmetric-group orbit of the image of the maps from lower arities?
 
     Any injection from a smaller arity factors as a permutation composed
     with the standard inclusion from m-1, so that orbit is the span of the
     support parts W_S with S != [m]: H_k(m) is generated from below iff its
     block W_m(k) is zero, as it is above ``support_bound``; for a zero
-    differential the block is counted.  The first arity has nothing below
-    it, and its flag is False by convention.
+    differential the block is counted (``der_dim``).  Only m = 1 has no
+    arity below it, and its flag is False by convention; a flag does not
+    depend on where the range starts.
     """
     def block_dim(m: int) -> int:
         if free_product_generators(model, 1).has_zero_differential:
-            return support_sum(m, lambda j: der_trace(model, (1,) * j, k,
-                                                      mode), True)
+            return der_dim(model, m, k, mode, block=True)
         return homology(model, m, k, mode, block=True).dim
 
     bound = support_bound(model, k)
-    return {m: i > 0 and (m > bound or not block_dim(m))
-            for i, m in enumerate(sorted(n_values))}
+    return {m: m > 1 and (m > bound or not block_dim(m)) for m in n_values}

@@ -1,9 +1,10 @@
 """Injections between summand sets, the maps they induce on derivation
 slices and homology, symmetric-group actions, characters, and the
 consistency check for stabilized images.  Characters act on the blocks
-of ``dermodel`` only; a zero differential needs no action, its character
-being ``dermodel.der_trace`` at each cycle type (``cli._compute_cell``).
-The full cells serve the consistency check and the FI maps.
+of ``dermodel`` only, and only for a nonzero differential: a zero
+differential's character is ``dermodel.der_trace`` at each cycle type, so
+its ``--decompose`` jobs do not import this module.  The full cells serve
+the consistency check and the FI maps.
 
 An injection acts on a derivation by extension by zero: the relabeled
 derivation takes the conjugated value on summands in the image and vanishes

@@ -215,7 +215,7 @@ class GeneratorSet:
                     out[i] = vec
             return out
         base = free_product_generators(self.model, 1)
-        return {self.gen_id(i, j): relabel_tensor(base, self, (j,), vec)
+        return {self.gen_id(i, j): relabel_tensor(base, (j,), vec)
                 for j in range(self.arity)
                 for i, vec in base._diff_tensor.items()}
 
@@ -461,8 +461,7 @@ def dual_basis(model: ModelSpec) -> dict[str, LieVector]:
     return out
 
 
-def relabel_tensor(src: GeneratorSet, dst: GeneratorSet,
-                   summand_map: Sequence[int],
+def relabel_tensor(src: GeneratorSet, summand_map: Sequence[int],
                    vec: TensorVector) -> TensorVector:
     m = src.base_count
     out: TensorVector = {}
@@ -486,7 +485,7 @@ def relabel_basis_element(src: GeneratorSet, dst: GeneratorSet,
            for a, b in zip(summands, summands[1:])):
         word = tuple(summand_map[g // m] * m + g % m for g in elem.word)
         return {LieBasisElement(elem.square, word): 1}
-    vec = relabel_tensor(src, dst, summand_map, src.expansion(elem))
+    vec = relabel_tensor(src, summand_map, src.expansion(elem))
     return dst.from_tensor(src.element_degree(elem), vec)
 
 

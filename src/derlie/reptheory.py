@@ -1,7 +1,7 @@
 """Symmetric-group representation theory: partitions, irreducible characters
-by border-strip recursion, decomposition of class functions, padded-partition
-bookkeeping, and the report's stability entries, built from the padded rows
-of the cells.  Nothing here imports the derivation engine."""
+by border-strip recursion, decomposition of class functions, and the
+report's stability entries, built from the padded rows of the cells.
+Nothing here imports the derivation engine."""
 
 from __future__ import annotations
 
@@ -12,10 +12,6 @@ from math import factorial
 from .ratlinalg import CheckFailure
 
 Partition = tuple[int, ...]
-
-
-class PaddingInvalid(Exception):
-    """The padded name (n - |p|, p) is not a partition for this n."""
 
 
 class NotARepresentation(CheckFailure):
@@ -146,21 +142,6 @@ def decompose(chi: dict[Partition, Fraction]) -> dict[Partition, int]:
         raise NotARepresentation(
             f"decomposition dimension {dim} differs from {chi[(1,) * n]}")
     return mult
-
-
-def pad(lam_bar: Partition, n: int) -> Partition:
-    """(n - |p|, p_1, p_2, ...), valid when n - |p| >= p_1."""
-    weight = sum(lam_bar)
-    head = n - weight
-    if lam_bar and head < lam_bar[0]:
-        raise PaddingInvalid(f"cannot pad {lam_bar} at n={n}")
-    if head < 0:
-        raise PaddingInvalid(f"cannot pad {lam_bar} at n={n}")
-    if head == 0:
-        if lam_bar:
-            raise PaddingInvalid(f"cannot pad {lam_bar} at n={n}")
-        return ()
-    return (head,) + tuple(lam_bar)
 
 
 def stabilization_onset(n_values, rows) -> int | None:

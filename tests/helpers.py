@@ -162,13 +162,12 @@ def induced_slice_map(inj: Injection, model, k: int,
 
 
 def generation_by_orbit(model, mode: Mode, k: int, n_range) -> dict[int, bool]:
-    """``dermodel.generation_flags`` on full cells: for each arity m beyond
-    the first, whether the orbit of the image of H_k(m-1) -> H_k(m) under
-    two generators of Sigma_m spans H_k(m)."""
-    ns = tuple(sorted(n_range))
+    """``dermodel.generation_flags`` on full cells: for each arity m > 1,
+    whether the orbit of the image of H_k(m-1) -> H_k(m) under two
+    generators of Sigma_m spans H_k(m)."""
     out: dict[int, bool] = {}
-    for idx, m in enumerate(ns):
-        if idx == 0:
+    for m in n_range:
+        if m == 1:
             out[m] = False  # nothing below to generate from, by convention
             continue
         hm = homology(model, m, k, mode)

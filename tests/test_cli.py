@@ -34,6 +34,8 @@ from derlie.cli import (
     parse_bracket_expression,
     parse_model_text,
     parse_range,
+    partition_from_str,
+    partition_str,
     resolve_model_path,
     run,
 )
@@ -620,9 +622,9 @@ def test_cost_guard_counts_only_built_slices(monkeypatch):
     assert "(n=5, k=1) too large: predicted dimension 75" in report["error"]
     report, code = run(job(k_values=(1,), n_values=(4, 5), max_dim=74,
                            check_generation=True))
-    assert code == EXIT_OK
+    assert code == EXIT_OK  # W_4(1) = 0 above the support bound 3
     assert {"name": "generation", "outcome": "info",
-            "flags": {"k=1": {"4": False, "5": True}}} in report["checks"]
+            "flags": {"k=1": {"4": True, "5": True}}} in report["checks"]
     # the sampled bracket-closure slice is a full one (288 at n = 4)
     report, code = run(job(model_path="s2xs2", mode=Mode.BOUNDARY,
                            k_values=(1,), n_values=(4, 5), max_dim=200))
@@ -900,13 +902,17 @@ def test_dimension_only_job_loads_no_character_layer(tmp_path, argv):
 
 
 @pytest.mark.parametrize("flags,loaded", [
-    (["--decompose"], CHARACTER_LAYER),
-    (["--decompose", "--format", "json"], CHARACTER_LAYER),
+    # a zero differential's character is counted, with no action
+    (["--decompose"], {"derlie.reptheory"}),
+    (["--decompose", "--format", "json"], {"derlie.reptheory"}),
     (["--check-consistency"], CHARACTER_LAYER),
     # the generation flags read the blocks, with no action or FI map
     (["--check-generation"], set()),
     # cells run in the job's own process whatever --workers says
-    (["--decompose", "--workers", "2"], CHARACTER_LAYER),
+    (["--decompose", "--workers", "2"], {"derlie.reptheory"}),
+    # a later --model replaces sphere2: a nonzero differential's character
+    # is the trace of the block actions
+    (["--model", "s3xs3-product", "--decompose"], CHARACTER_LAYER),
 ])
 def test_character_layer_loads_where_a_job_uses_it(tmp_path, flags, loaded):
     argv = ["compute", "--model", "sphere2", "--k", "1..2", "--n", "1..4",
@@ -1079,6 +1085,32 @@ def test_table_contains_totals():
     assert first_row.split()[:2] == ["1", "1"]  # n=1 row shows total dim 1
 
 
+def test_table_dots_the_columns_that_pad_to_no_partition():
+    # a column p of row n shows "." iff (n - |p|, p) is not a partition,
+    # otherwise the padded multiplicity, 0 when absent
+    report, code = run(job(k_values=(1, 2), n_values=tuple(range(1, 7)),
+                           decompose=True))
+    assert code == EXIT_OK
+    text = emit_report(report, "table").decode()
+    seen = set()
+    for k in (1, 2):
+        block = text.split(f"[k={k}]\n")[1].split("  verdict:")[0]
+        header, *rows = block.splitlines()
+        columns = [partition_from_str(s) for s in header.split()[2:]]
+        padded = {c["n"]: c["padded"] for c in report["cells"]
+                  if c["k"] == k}
+        for row in rows:
+            n, _, *entries = row.split()
+            n = int(n)
+            assert len(entries) == len(columns)
+            for p, entry in zip(columns, entries):
+                dotted = bool(p) and n - sum(p) < p[0]
+                assert entry == ("." if dotted else str(
+                    padded[n].get(partition_str(p), 0))), (k, n, p)
+                seen.add((dotted, entry == "0"))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_json_round_trip():
     report, _ = run(job(decompose=True))
     blob = emit_report(report, "json")
@@ -1101,6 +1133,31 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setattr("derlie.fistab.character", no_character)
     assert main(args + ["--output", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_extending_n_on_a_warm_cache_computes_only_the_new_cells(
+        tmp_path, monkeypatch):
+    from derlie import cli as climod
+    cache = tmp_path / "cache"
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    args = ["compute", "--model", "sphere2", "--k", "1..2", "--decompose",
+            "--format", "json"]
+    assert main(args + ["--n", "1..5", "--output", str(cold)]) == EXIT_OK
+    assert main(args + ["--n", "1..3", "--cache-dir", str(cache), "--output",
+                        str(tmp_path / "short.json")]) == EXIT_OK
+    computed = []
+    compute = climod._compute_cell
+
+    def spy(model, mode, n, k, decompose):
+        computed.append((k, n))
+        return compute(model, mode, n, k, decompose)
+
+    monkeypatch.setattr(climod, "_compute_cell", spy)
+    assert main(args + ["--n", "1..5", "--cache-dir", str(cache), "--output",
+                        str(warm)]) == EXIT_OK
+    assert sorted(computed) == [(1, 4), (1, 5), (2, 4), (2, 5)]
+    assert warm.read_bytes() == cold.read_bytes()
+    assert len(list(cache.iterdir())) == 10
 
 
 # well-formed JSON under a valid checksum, with one malformed table

@@ -13,14 +13,13 @@ from derlie import dermodel
 from derlie.cli import _compute_cell, bundled_model_names, load_model
 from derlie.dermodel import (
     Mode,
-    der_trace,
+    der_dim,
     derivation_basis,
     differential_matrix,
     generation_flags,
     homology,
     push_local,
     support_bound,
-    support_sum,
 )
 from derlie.gradedlie import (
     ModelSpec,
@@ -677,7 +676,7 @@ GAPPED = ModelSpec("gapped", [("a", 2), ("b", 5)])
 
 @pytest.mark.parametrize("name", [*bundled_model_names(), GAPPED.name])
 def test_counted_dimensions_match_the_listing(name):
-    # der_trace at the identity, split by support, against the listed
+    # der_dim, whole and split by support, against the listed
     # coordinates and, in boundary mode, the omega constraint kernel built
     # on them; a zero differential's cells and generation flags, which are
     # counted, against the block route they replaced
@@ -687,13 +686,11 @@ def test_counted_dimensions_match_the_listing(name):
         for k, n, block in itertools.product(ks, ns, (True, False)):
             sl = derivation_basis(model, n, k, mode, block=block)
 
-            def count(m):
-                return support_sum(n, lambda j: der_trace(model, (1,) * j, k,
-                                                          m), block)
-
-            assert count(Mode.POINTED) == len(sl.coords), (mode, k, n, block)
+            assert der_dim(model, n, k, Mode.POINTED, block) == \
+                len(sl.coords), (mode, k, n, block)
             if mode is Mode.BOUNDARY:
-                assert count(mode) == len(sl.basis.vectors), (k, n, block)
+                assert der_dim(model, n, k, mode, block) == \
+                    len(sl.basis.vectors), (k, n, block)
         if not free_product_generators(model, 1).has_zero_differential:
             continue
         for k in ks:

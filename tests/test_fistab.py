@@ -54,7 +54,7 @@ def tensor_route_relabel(theta, inj, dst):
     values = {}
     for gid, val in theta.values.items():
         new_gid = dst.gen_id(src.base_index(gid), inj.image[src.summand(gid)])
-        vec = relabel_tensor(src, dst, inj.image, src.to_tensor(val))
+        vec = relabel_tensor(src, inj.image, src.to_tensor(val))
         values[new_gid] = dst.from_tensor(src.degrees[gid] + theta.degree,
                                           vec)
     return Derivation(dst, theta.degree, values)
@@ -539,8 +539,8 @@ def test_each_injection_is_computed_once(monkeypatch, cold_caches):
 
 
 def test_corrupted_trace_is_a_check_failure(monkeypatch):
-    # the block actions' identity check; a zero differential's character and
-    # dimension are both der_trace, so its identity check cannot fail
+    # the block actions' identity check, which a zero differential, whose
+    # character is counted, never reaches
     original = fistab.sigma_action
 
     def corrupted(sigma, model, k, mode=Mode.POINTED, block=False):

@@ -2,16 +2,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from derlie.reptheory import (
     NotARepresentation,
-    PaddingInvalid,
     class_size,
     decompose,
     irr_character,
     irr_dim,
-    pad,
     partition_count,
     partitions,
     stabilization_onset,
@@ -125,42 +122,6 @@ def test_decompose_rejects_negative():
     with pytest.raises(NotARepresentation,
                        match=r"^multiplicity of \(2,\) is -1; "):
         decompose(chi)
-
-
-def test_pad_examples():
-    assert pad((), 5) == (5,)
-    assert pad((1,), 4) == (3, 1)
-    assert pad((2, 1), 7) == (4, 2, 1)
-
-
-def test_pad_invalid():
-    with pytest.raises(PaddingInvalid):
-        pad((2, 1), 4)
-    with pytest.raises(PaddingInvalid):
-        pad((3,), 5)
-
-
-@st.composite
-def small_partition(draw):
-    n = draw(st.integers(min_value=0, max_value=6))
-    parts = []
-    remaining, cap = n, n
-    while remaining > 0:
-        p = draw(st.integers(min_value=1, max_value=min(cap, remaining)))
-        parts.append(p)
-        cap = p
-        remaining -= p
-    return tuple(parts)
-
-
-@given(small_partition(), st.integers(min_value=0, max_value=8))
-@settings(max_examples=80, deadline=None)
-def test_pad_unpad_round_trip(lam_bar, extra):
-    head = (lam_bar[0] if lam_bar else 0) + extra
-    n = sum(lam_bar) + head
-    if head == 0:
-        return
-    assert pad(lam_bar, n)[1:] == lam_bar
 
 
 def test_stabilization_onset_logic():

@@ -17,7 +17,8 @@ import bruteforce
 import lie_character
 from helpers import (compose, generation_by_orbit, rank,
                      stability_by_characters, trace_character)
-from derlie.cli import EXIT_OK, JobSpec, partition_from_str, run
+from derlie.cli import (EXIT_OK, JobSpec, bundled_model_names, load_model,
+                        partition_from_str, run)
 from derlie.dermodel import Mode, derivation_basis, generation_flags, homology
 from derlie.fistab import Injection, character, homology_map, sigma_action
 from derlie.gradedlie import ModelSpec, lie_dim, validate_model
@@ -159,6 +160,22 @@ def test_generation_flags_match_the_empty_blocks(request, name, mode, ks,
         n_range = range(1, n_max + 1)
         assert generation_flags(model, mode, k, n_range) == \
             generation_by_orbit(model, mode, k, n_range), k
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_generation_flags_do_not_depend_on_the_range_start(name):
+    # only m = 1 has no arity below it: a range a..5 gives the flags that
+    # 1..5 gives at those arities, on the blocks and on the full cells
+    model = load_model(name)
+    for mode in [Mode.POINTED] + [Mode.BOUNDARY] * model.has_pairing:
+        for k in (1, 2):
+            whole = generation_flags(model, mode, k, range(1, 6))
+            for a in range(2, 6):
+                part = {m: whole[m] for m in range(a, 6)}
+                assert generation_flags(model, mode, k, range(a, 6)) == \
+                    part, (mode, k, a)
+                assert generation_by_orbit(model, mode, k, range(a, 6)) == \
+                    part, (mode, k, a)
 
 
 def _generation(report):
